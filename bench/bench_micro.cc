@@ -22,9 +22,8 @@
 #include "match/index.h"
 #include "match/query_unit.h"
 #include "match/result_join.h"
-#include "match/star_matcher.h"
-#include "match/unit_matcher.h"
 #include "match/subgraph_matcher.h"
+#include "match/unit_matcher.h"
 #include "util/bitvector.h"
 #include "util/intersect.h"
 #include "util/logging.h"
@@ -303,11 +302,11 @@ void BM_GraphMemoryBytes(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphMemoryBytes);
 
-// --- Query hot-path benchmarks (bench_results/BENCH_join.json) ---
-// Star matching and the star join, isolated from the request/response
-// plumbing. The A/B axes: thread count (the ParallelFor chunking) and eager
-// k-fold expansion vs the automorphism-aware probe (the k-independent
-// memory claim — watch the indexed_rows counter).
+// --- Query hot-path benchmarks ---
+// Unit matching and the automorphism-aware probe join, isolated from the
+// request/response plumbing. The A/B axes: thread count (the ParallelFor
+// chunking), aux graph on/off, and k (the probe's k-independent memory —
+// watch the indexed_rows counter).
 
 struct JoinWorkload {
   AttributedGraph g;
@@ -317,8 +316,8 @@ struct JoinWorkload {
   CloudIndex index;
   GkStatistics stats;
   std::vector<AttributedGraph> qos;
-  std::vector<StarDecomposition> decompositions;
-  std::vector<std::vector<StarMatches>> star_sets;  // Gk vertex ids.
+  std::vector<std::vector<QueryUnit>> plans;        // Depth-1: stars only.
+  std::vector<std::vector<UnitMatches>> star_sets;  // Gk vertex ids.
 
   /// One workload per k, built lazily and cached for the binary's lifetime.
   static JoinWorkload& Get(uint32_t k) {
@@ -363,8 +362,8 @@ struct JoinWorkload {
     struct Candidate {
       size_t peak_rows;
       AttributedGraph qo;
-      StarDecomposition decomposition;
-      std::vector<StarMatches> stars;
+      std::vector<QueryUnit> plan;
+      std::vector<UnitMatches> stars;
     };
     std::vector<Candidate> candidates;
     Rng rng(17);
@@ -373,12 +372,12 @@ struct JoinWorkload {
       PPSM_CHECK_OK(extracted);
       auto qo = w->lct.AnonymizeGraph(extracted->query);
       PPSM_CHECK_OK(qo);
-      auto decomposition = DecomposeQuery(*qo, w->stats);
+      auto decomposition = DecomposeQueryUnits(*qo, w->stats, 1);
       PPSM_CHECK_OK(decomposition);
-      if (decomposition->centers.size() < 2) continue;
-      std::vector<StarMatches> stars =
-          MatchStars(w->go.graph, w->index, *qo, decomposition->centers);
-      for (StarMatches& star : stars) {
+      if (decomposition->units.size() < 2) continue;
+      std::vector<UnitMatches> stars =
+          MatchUnits(w->go.graph, w->index, *qo, decomposition->units);
+      for (UnitMatches& star : stars) {
         MatchSet translated(star.matches.arity());
         std::vector<VertexId> row(star.matches.arity());
         for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
@@ -392,11 +391,11 @@ struct JoinWorkload {
       }
       JoinDiagnostics diagnostics;
       JoinOptions probe_options;
-      auto rin = JoinStarMatches(stars, w->kag.avt, qo->NumVertices(),
+      auto rin = JoinUnitMatches(stars, w->kag.avt, qo->NumVertices(),
                                  probe_options, &diagnostics);
       if (!rin.ok() || rin->NumMatches() == 0) continue;
       candidates.push_back(Candidate{diagnostics.peak_rows, std::move(*qo),
-                                     std::move(*decomposition),
+                                     std::move(decomposition->units),
                                      std::move(stars)});
     }
     PPSM_CHECK(!candidates.empty());
@@ -406,7 +405,7 @@ struct JoinWorkload {
               });
     for (size_t i = 0; i < std::min<size_t>(candidates.size(), 6); ++i) {
       w->qos.push_back(std::move(candidates[i].qo));
-      w->decompositions.push_back(std::move(candidates[i].decomposition));
+      w->plans.push_back(std::move(candidates[i].plan));
       w->star_sets.push_back(std::move(candidates[i].stars));
     }
     auto& slot = (*cache)[k];
@@ -415,21 +414,21 @@ struct JoinWorkload {
   }
 };
 
-// Args: {threads, use_aux_graph}. The {t, 0} rows are the legacy
-// filter-while-walking inner loop, the {t, 1} rows the aux-graph +
-// intersection-kernel path — same rows byte for byte, so the delta is pure
-// inner-loop speedup.
+// Args: {threads, use_aux_graph}. Star plans (depth-1 units). The {t, 0}
+// rows are the filter-while-walking inner loop, the {t, 1} rows the
+// aux-graph + intersection-kernel path — same rows byte for byte, so the
+// delta is pure inner-loop speedup.
 void BM_MatchStarsThreads(benchmark::State& state) {
   JoinWorkload& w = JoinWorkload::Get(3);
-  StarMatchOptions options;
+  UnitMatchOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));
   options.use_aux_graph = state.range(1) != 0;
   for (auto _ : state) {
     size_t rows = 0;
     for (size_t q = 0; q < w.qos.size(); ++q) {
-      const auto stars = MatchStars(w.go.graph, w.index, w.qos[q],
-                                    w.decompositions[q].centers, options);
-      for (const StarMatches& star : stars) rows += star.matches.NumMatches();
+      const auto stars =
+          MatchUnits(w.go.graph, w.index, w.qos[q], w.plans[q], options);
+      for (const UnitMatches& star : stars) rows += star.matches.NumMatches();
     }
     benchmark::DoNotOptimize(rows);
   }
@@ -539,22 +538,18 @@ BENCHMARK(BM_MatchUnitsShaped)
     ->ArgsProduct({{0, 1}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-void JoinBench(benchmark::State& state, uint32_t k, bool eager,
-               size_t threads) {
-  JoinWorkload& w = JoinWorkload::Get(k);
+// Args: {k, threads}.
+void BM_JoinProbe(benchmark::State& state) {
+  JoinWorkload& w = JoinWorkload::Get(static_cast<uint32_t>(state.range(0)));
   JoinOptions options;
-  options.eager_expansion = eager;
-  // The seed pipeline always sorted Rin before returning; the shipped
-  // configuration skips that (rows are distinct by construction).
-  options.sorted_output = eager;
-  options.num_threads = threads;
+  options.num_threads = static_cast<size_t>(state.range(1));
   size_t indexed_rows = 0;
   size_t peak_rows = 0;
   for (auto _ : state) {
     JoinDiagnostics diagnostics;
     size_t rows = 0;
     for (size_t q = 0; q < w.qos.size(); ++q) {
-      auto rin = JoinStarMatches(w.star_sets[q], w.kag.avt,
+      auto rin = JoinUnitMatches(w.star_sets[q], w.kag.avt,
                                  w.qos[q].NumVertices(), options,
                                  &diagnostics);
       PPSM_CHECK_OK(rin);
@@ -564,27 +559,11 @@ void JoinBench(benchmark::State& state, uint32_t k, bool eager,
     indexed_rows = diagnostics.indexed_rows;
     peak_rows = diagnostics.peak_rows;
   }
-  // The memory story: eager hash-indexes the k-fold expansion, the probe
-  // indexes each star once — indexed_rows is what the join materializes
-  // beyond its output.
+  // The memory story: the probe hash-indexes each unit once, un-expanded —
+  // indexed_rows is what the join materializes beyond its output, and it
+  // does not grow with k.
   state.counters["indexed_rows"] = static_cast<double>(indexed_rows);
   state.counters["peak_rows"] = static_cast<double>(peak_rows);
-}
-
-// Args: {k, threads}. BM_JoinEager at threads=1 is the seed's join
-// (materialize the k-fold closure, serial probe); BM_JoinProbe at
-// threads=8 is the shipped configuration.
-void BM_JoinEager(benchmark::State& state) {
-  JoinBench(state, static_cast<uint32_t>(state.range(0)), /*eager=*/true,
-            static_cast<size_t>(state.range(1)));
-}
-BENCHMARK(BM_JoinEager)
-    ->ArgsProduct({{2, 4, 8}, {1, 8}})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_JoinProbe(benchmark::State& state) {
-  JoinBench(state, static_cast<uint32_t>(state.range(0)), /*eager=*/false,
-            static_cast<size_t>(state.range(1)));
 }
 BENCHMARK(BM_JoinProbe)
     ->ArgsProduct({{2, 4, 8}, {1, 8}})

@@ -37,7 +37,7 @@ Status ValidateChannelConfig(const ChannelConfig& config);
 /// bytes themselves; the channel just records what a real link would have
 /// cost.
 ///
-/// Thread-safe: concurrent queries (PpsmSystem::QueryBatch) account their
+/// Thread-safe: concurrent queries (PpsmSystem::ExecuteBatch) account their
 /// request/response transfers through one shared channel, so the totals and
 /// the log are guarded by an internal mutex. Exception: the reference
 /// returned by log() is only safe to read while no Transfer runs.

@@ -1,7 +1,6 @@
 #ifndef PPSM_CLOUD_CLOUD_SERVER_H_
 #define PPSM_CLOUD_CLOUD_SERVER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -52,9 +51,6 @@ struct ClusterConfig {
   /// Number of CloudServer shards hosting slices of Go. 1 = the classic
   /// unsharded deployment (0 clamps to 1).
   uint32_t num_shards = 1;
-  /// Index of the shard this config addresses in a multi-process deployment;
-  /// the single-process CloudCluster hosts all shards itself and ignores it.
-  uint32_t shard = 0;
   /// QueryService admission bound: queries executing simultaneously. Further
   /// arrivals wait in a queue bounded at 2 * max_inflight, beyond which they
   /// are refused with ResourceExhausted. Must be >= 1 (0 clamps to 1).
@@ -130,9 +126,6 @@ class CloudServer : public QueryHandler {
   static Result<CloudServer> HostSlice(UploadPackage package,
                                        const ShardConfig& config);
 
-  /// Legacy alias for the wire-level reply (now query/query_api.h).
-  using Answer = WireAnswer;
-
   /// The one query entry point (QueryHandler): evaluates a serialized Qo
   /// under the given context. ctx.stats, when set, is filled on every
   /// return path — failure included.
@@ -141,17 +134,6 @@ class CloudServer : public QueryHandler {
   ServiceLimits limits() const override {
     return {config_.max_inflight, config_.query_deadline_ms};
   }
-
-  /// Legacy entry points, collapsed onto Serve().
-  [[deprecated("use Serve(qo_bytes) — one entry point for all callers")]]
-  Result<WireAnswer> AnswerQuery(std::span<const uint8_t> qo_bytes) const;
-  [[deprecated("use Serve(qo_bytes, ctx) with QueryContext::deadline")]]
-  Result<WireAnswer> AnswerQuery(
-      std::span<const uint8_t> qo_bytes,
-      std::chrono::steady_clock::time_point deadline) const;
-  [[deprecated("use Serve(qo_bytes, ctx)")]]
-  Result<WireAnswer> AnswerQuery(std::span<const uint8_t> qo_bytes,
-                                 const QueryContext& ctx) const;
 
   const CloudConfig& config() const { return config_; }
   /// Star-matching workers per query (config().num_threads, clamped >= 1).

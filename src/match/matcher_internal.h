@@ -2,21 +2,14 @@
 #define PPSM_MATCH_MATCHER_INTERNAL_H_
 
 #include <algorithm>
-#include <span>
 #include <vector>
 
 #include "graph/attributed_graph.h"
 #include "match/query_unit.h"
-#include "match/star_matcher.h"
-#include "util/intersect.h"
-
-namespace ppsm {
-class QueryAuxGraph;
-}
 
 namespace ppsm::matcher_internal {
 
-/// Versioned-epoch vertex marks shared by the star and unit matchers:
+/// Versioned-epoch vertex marks of the unit matcher:
 /// Begin() invalidates every mark in O(1) by bumping the epoch, so the
 /// per-unit O(|V|) zeroing of a plain std::vector<bool> — which dwarfed
 /// matching time on large fixtures under the serving workload — happens only
@@ -74,52 +67,13 @@ inline bool LeafCompatible(const AttributedGraph& qo, VertexId leaf,
          data.LabelsContainAll(v, qo.Labels(leaf));
 }
 
-/// List-vs-walk crossover of SlotCandidates: the kernel path is taken only
-/// when the materialized class list is at least this many times smaller than
-/// the adjacency. At the crossover, galloping costs ~|list|·log|adjacency|
-/// probes and the SIMD merge ~(|list|+|adjacency|)/lanes comparisons — both
-/// comfortably under the walk's |adjacency| bitmap tests; above it the walk
-/// is already optimal at one O(1) test per neighbor.
-constexpr size_t kListWalkCrossover = 4;
-
-/// Fills `out` with the intersection of `adjacency` (a data vertex's
-/// neighbor list) and compatibility class `cls` of `aux` — the slot-candidate
-/// primitive of both aux-graph matchers. Two strategies, one output:
-///  * the set-intersection kernels (util/intersect.h) when the class has a
-///    materialized list small enough to beat an O(degree) scan, and
-///  * a filter-walk of the adjacency testing the class bitmap (O(1) per
-///    neighbor) otherwise.
-/// Both enumerate the ascending common subsequence of two ascending inputs,
-/// so the choice never changes bytes — only speed. A forced (non-auto)
-/// kernel takes the kernel path whenever the list exists, so kernel A/B
-/// tests measure the kernel they asked for; only the kernel path bumps the
-/// intersect counters.
-void SlotCandidates(std::span<const VertexId> adjacency,
-                    const QueryAuxGraph& aux, size_t cls,
-                    IntersectKernel kernel, IntersectCounters* counters,
-                    std::vector<uint32_t>* out);
-
-/// The column layout MatchStar produces for `center`: the center first, then
-/// its query neighbors most-constrained-first (more labels, then ascending
-/// id). Shared between MatchStar and the skip path of MatchStars/MatchUnits
-/// so skipped placeholders carry the same columns (and MatchSet arity) a
-/// real match would have.
-std::vector<VertexId> StarColumns(const AttributedGraph& qo, VertexId center);
-
 /// Column layout MatchUnit produces for `unit`: star units (depth <= 1)
-/// dispatch to MatchStar and inherit its column order, deeper units bind
-/// unit.vertices in BFS slot order.
+/// bind the center, then its query neighbors most-constrained-first (more
+/// labels, then ascending id); deeper units bind unit.vertices in BFS slot
+/// order. The skip path of MatchUnits gives its placeholders these columns
+/// (and MatchSet arity) too.
 std::vector<VertexId> UnitColumns(const AttributedGraph& qo,
                                   const QueryUnit& unit);
-
-/// MatchStar against a caller-provided auxiliary graph (nullptr = aux-off
-/// filter-while-walking path). MatchStars/MatchUnits build one aux graph per
-/// phase and fan it out through here; the public MatchStar builds its own.
-StarMatches MatchStarWithAux(const AttributedGraph& data,
-                             const CloudIndex& index,
-                             const AttributedGraph& qo, VertexId center,
-                             const StarMatchOptions& options,
-                             const QueryAuxGraph* aux);
 
 }  // namespace ppsm::matcher_internal
 

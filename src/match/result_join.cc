@@ -34,17 +34,16 @@ uint64_t KeyOfValues(std::span<const VertexId> values) {
   return key;
 }
 
-/// Joins `current` with one star's matches on their shared query vertices.
+/// Joins `current` with one unit's matches on their shared query vertices.
 ///
-/// The star side logically contributes its Gk closure ∪_m F_m(star_rows)
-/// for m = 0..probe_k-1, but the closure is never materialized: the
-/// un-expanded rows are hashed once on the shared key, and every current
-/// row probes under each F_m by mapping its shared values through F_m^{-1}
-/// (F_m is a bijection, so `F_m(star_row) agrees with current_row` iff
-/// `star_row agrees with F_m^{-1}(current_row)`). New columns of a hit are
-/// shifted forward with F_m on the fly. Callers that pre-expanded the star
-/// (the eager strategy, and the anchorless baseline where k = 1) pass
-/// probe_k = 1, which skips every Avt lookup.
+/// The unit side logically contributes its Gk closure ∪_m F_m(unit_rows)
+/// for m = 0..k-1, but the closure is never materialized: the un-expanded
+/// rows are hashed once on the shared key, and every current row probes
+/// under each F_m by mapping its shared values through F_m^{-1} (F_m is a
+/// bijection, so `F_m(unit_row) agrees with current_row` iff `unit_row
+/// agrees with F_m^{-1}(current_row)`). New columns of a hit are shifted
+/// forward with F_m on the fly. The baseline's identity AVT (k = 1) skips
+/// every Avt lookup.
 ///
 /// The probe side is partitioned into contiguous chunks across
 /// options.num_threads workers; each chunk appends into its own buffer and
@@ -53,72 +52,73 @@ uint64_t KeyOfValues(std::span<const VertexId> values) {
 /// share one atomic row budget; exceeding options.max_rows (non-zero) sets
 /// *overflow after folding the partial row counts into `diagnostics`.
 /// `step` (nullable, like `diagnostics`) receives this invocation's own
-/// build/output/drop counts; the caller stamps the star identity on it.
+/// build/output/drop counts; the caller stamps the unit identity on it.
 Intermediate JoinStep(const Intermediate& current,
-                      const std::vector<VertexId>& star_columns,
-                      const MatchSet& star_rows, const Avt& avt,
-                      uint32_t probe_k, const JoinOptions& options,
+                      const std::vector<VertexId>& unit_columns,
+                      const MatchSet& unit_rows, const Avt& avt,
+                      const JoinOptions& options,
                       JoinDiagnostics* diagnostics, JoinStepProfile* step,
                       bool* overflow) {
+  const uint32_t probe_k = std::max<uint32_t>(avt.k(), 1);
   // Column bookkeeping: positions of shared columns on both sides, and the
-  // star columns that are new.
+  // unit columns that are new.
   std::vector<size_t> shared_current;  // Positions in current.columns.
-  std::vector<size_t> shared_star;     // Positions in star_columns.
-  std::vector<size_t> new_star;        // Star positions appended to output.
-  for (size_t sp = 0; sp < star_columns.size(); ++sp) {
+  std::vector<size_t> shared_unit;     // Positions in unit_columns.
+  std::vector<size_t> new_unit;        // Unit positions appended to output.
+  for (size_t sp = 0; sp < unit_columns.size(); ++sp) {
     const auto it = std::find(current.columns.begin(), current.columns.end(),
-                              star_columns[sp]);
+                              unit_columns[sp]);
     if (it != current.columns.end()) {
       shared_current.push_back(
           static_cast<size_t>(it - current.columns.begin()));
-      shared_star.push_back(sp);
+      shared_unit.push_back(sp);
     } else {
-      new_star.push_back(sp);
+      new_unit.push_back(sp);
     }
   }
 
   Intermediate next;
   next.columns = current.columns;
-  for (const size_t sp : new_star) next.columns.push_back(star_columns[sp]);
+  for (const size_t sp : new_unit) next.columns.push_back(unit_columns[sp]);
   next.rows = MatchSet(next.columns.size());
 
-  // Hash the star side on the shared key (empty key = cross product).
-  std::unordered_map<uint64_t, std::vector<uint32_t>> star_index;
-  star_index.reserve(star_rows.NumMatches() * 2);
-  for (size_t r = 0; r < star_rows.NumMatches(); ++r) {
-    star_index[KeyOf(star_rows.Get(r), shared_star)].push_back(
+  // Hash the unit side on the shared key (empty key = cross product).
+  std::unordered_map<uint64_t, std::vector<uint32_t>> unit_index;
+  unit_index.reserve(unit_rows.NumMatches() * 2);
+  for (size_t r = 0; r < unit_rows.NumMatches(); ++r) {
+    unit_index[KeyOf(unit_rows.Get(r), shared_unit)].push_back(
         static_cast<uint32_t>(r));
   }
   if (diagnostics != nullptr) {
     ++diagnostics->join_steps;
-    diagnostics->indexed_rows += star_rows.NumMatches();
+    diagnostics->indexed_rows += unit_rows.NumMatches();
   }
-  if (step != nullptr) step->build_rows = star_rows.NumMatches();
+  if (step != nullptr) step->build_rows = unit_rows.NumMatches();
 
   // Build-side duplicate suppression (probe_k > 1 only). Expanded rows can
   // coincide: F_m(r) == F_m'(r') iff r' == F_{m-m'}(r), because the AVT's
   // functions compose cyclically (shift by m, then by m', is shift by
   // m + m'). So F_m(r) repeats an earlier function's output iff some
-  // F_d(r), d in [1, m], is itself a star row — min_dup_shift[r] is the
+  // F_d(r), d in [1, m], is itself a unit row — min_dup_shift[r] is the
   // smallest such d (probe_k when none), making the probe-time check O(1).
   // Scanning the output buffer instead would be quadratic in the join
   // fanout per probe row.
   std::vector<uint32_t> min_dup_shift;
-  if (probe_k > 1 && star_rows.NumMatches() > 0) {
+  if (probe_k > 1 && unit_rows.NumMatches() > 0) {
     std::unordered_map<uint64_t, std::vector<uint32_t>> row_index;
-    row_index.reserve(star_rows.NumMatches() * 2);
-    for (size_t r = 0; r < star_rows.NumMatches(); ++r) {
-      row_index[KeyOfValues(star_rows.Get(r))].push_back(
+    row_index.reserve(unit_rows.NumMatches() * 2);
+    for (size_t r = 0; r < unit_rows.NumMatches(); ++r) {
+      row_index[KeyOfValues(unit_rows.Get(r))].push_back(
           static_cast<uint32_t>(r));
     }
-    min_dup_shift.assign(star_rows.NumMatches(), probe_k);
-    const size_t arity = star_columns.size();
+    min_dup_shift.assign(unit_rows.NumMatches(), probe_k);
+    const size_t arity = unit_columns.size();
     ParallelForChunks(
-        options.num_threads, star_rows.NumMatches(), kMinProbeChunk,
+        options.num_threads, unit_rows.NumMatches(), kMinProbeChunk,
         [&](size_t /*chunk*/, size_t begin, size_t end) {
           std::vector<VertexId> shifted(arity);
           for (size_t r = begin; r < end; ++r) {
-            const auto row = star_rows.Get(r);
+            const auto row = unit_rows.Get(r);
             std::copy(row.begin(), row.end(), shifted.begin());
             for (uint32_t d = 1; d < probe_k; ++d) {
               for (size_t i = 0; i < arity; ++i) {
@@ -128,7 +128,7 @@ Intermediate JoinStep(const Intermediate& current,
               if (it == row_index.end()) continue;
               bool found = false;
               for (const uint32_t cand : it->second) {
-                const auto cand_row = star_rows.Get(cand);
+                const auto cand_row = unit_rows.Get(cand);
                 if (std::equal(shifted.begin(), shifted.end(),
                                cand_row.begin())) {
                   found = true;
@@ -156,7 +156,7 @@ Intermediate JoinStep(const Intermediate& current,
   ParallelFor(options.num_threads, chunks.size(), [&](size_t c) {
     if (overflowed.load(std::memory_order_relaxed)) return;
     MatchSet& out = chunk_rows[c];
-    std::vector<VertexId> probe(shared_star.size());
+    std::vector<VertexId> probe(shared_unit.size());
     std::vector<VertexId> combined(next.columns.size());
     size_t drops = 0;
     for (size_t cr = chunks[c].first; cr < chunks[c].second; ++cr) {
@@ -172,15 +172,15 @@ Intermediate JoinStep(const Intermediate& current,
             probe[i] = avt.Apply(current_row[shared_current[i]], inv);
           }
         }
-        const auto it = star_index.find(KeyOfValues(probe));
-        if (it == star_index.end()) continue;
+        const auto it = unit_index.find(KeyOfValues(probe));
+        if (it == unit_index.end()) continue;
         for (const uint32_t sr : it->second) {
-          const auto star_row = star_rows.Get(sr);
+          const auto unit_row = unit_rows.Get(sr);
           // Verify shared equality (hash collisions must not fabricate
           // rows).
           bool consistent = true;
-          for (size_t i = 0; i < shared_star.size(); ++i) {
-            if (star_row[shared_star[i]] != probe[i]) {
+          for (size_t i = 0; i < shared_unit.size(); ++i) {
+            if (unit_row[shared_unit[i]] != probe[i]) {
               consistent = false;
               break;
             }
@@ -188,19 +188,19 @@ Intermediate JoinStep(const Intermediate& current,
           if (!consistent) continue;
           // All hits for one current row agree on the shared columns, so an
           // expanded row repeating an earlier function's output is exactly
-          // the min_dup_shift condition — the eager strategy removed the
-          // same rows with its global SortDedup over the expansion.
+          // the min_dup_shift condition: each distinct row of the closure
+          // joins in once.
           if (m > 0 && min_dup_shift[sr] <= m) continue;
           std::copy(current_row.begin(), current_row.end(),
                     combined.begin());
           if (m == 0) {
-            for (size_t i = 0; i < new_star.size(); ++i) {
-              combined[num_current + i] = star_row[new_star[i]];
+            for (size_t i = 0; i < new_unit.size(); ++i) {
+              combined[num_current + i] = unit_row[new_unit[i]];
             }
           } else {
-            for (size_t i = 0; i < new_star.size(); ++i) {
+            for (size_t i = 0; i < new_unit.size(); ++i) {
               combined[num_current + i] =
-                  avt.Apply(star_row[new_star[i]], m);
+                  avt.Apply(unit_row[new_unit[i]], m);
             }
           }
           if (MatchSet::HasDuplicateVertices(combined)) {
@@ -259,84 +259,81 @@ MatchSet ExpandByAutomorphisms(const MatchSet& matches, const Avt& avt) {
   return expanded;
 }
 
-Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
+Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& units,
                                  const Avt& avt, size_t num_query_vertices,
                                  const JoinOptions& options,
                                  JoinDiagnostics* diagnostics) {
-  if (stars.empty()) {
-    return Status::InvalidArgument("join needs at least one star");
+  if (units.empty()) {
+    return Status::InvalidArgument("join needs at least one unit");
   }
-  for (const StarMatches& star : stars) {
-    if (star.truncated) {
+  for (const UnitMatches& unit : units) {
+    if (unit.truncated) {
       return Status::ResourceExhausted(
-          "star match set was truncated; join would be incomplete");
+          "unit match set was truncated; join would be incomplete");
     }
   }
   const bool use_estimates =
-      options.star_cost_estimates.size() == stars.size();
+      options.star_cost_estimates.size() == units.size();
   const auto cost_of = [&](size_t i) {
     return use_estimates
                ? options.star_cost_estimates[i]
-               : static_cast<double>(stars[i].matches.NumMatches());
+               : static_cast<double>(units[i].matches.NumMatches());
   };
 
-  // Anchor: the star with the fewest matches (Algorithm 2 line 1) — by
+  // Anchor: the unit with the fewest matches (Algorithm 2 line 1) — by
   // actual count, which is exact and free, never by estimate. Its rows are
-  // NOT expanded; the anchor center staying in B1 is what defines Rin.
+  // NOT expanded; the anchor root staying in B1 is what defines Rin.
   size_t anchor = 0;
-  for (size_t i = 1; i < stars.size(); ++i) {
-    if (stars[i].matches.NumMatches() <
-        stars[anchor].matches.NumMatches()) {
+  for (size_t i = 1; i < units.size(); ++i) {
+    if (units[i].matches.NumMatches() <
+        units[anchor].matches.NumMatches()) {
       anchor = i;
     }
   }
   // Step 0 is the anchor itself — no JoinStep runs for it, but recording it
-  // keeps the anchor's provenance (which star, how many rows seeded the
+  // keeps the anchor's provenance (which unit, how many rows seeded the
   // intermediate) in the flight-recorder trace. Crucially this also covers
   // the zero-match short-circuit below: without it a served query could log
-  // an empty `steps` array, hiding which star emptied the result.
+  // an empty `steps` array, hiding which unit emptied the result.
   // estimated_rows stays 0.0 so the anchor never feeds the estimate/actual
-  // join-calibration metrics (its "output" is a star cardinality, not a
+  // join-calibration metrics (its "output" is a unit cardinality, not a
   // join-step output).
   if (diagnostics != nullptr) {
     diagnostics->anchor_index = anchor;
-    diagnostics->anchor_rows = stars[anchor].matches.NumMatches();
+    diagnostics->anchor_rows = units[anchor].matches.NumMatches();
     JoinStepProfile anchor_profile;
     anchor_profile.step = 0;
     anchor_profile.star_index = static_cast<uint32_t>(anchor);
-    anchor_profile.star_center = static_cast<uint32_t>(stars[anchor].center);
-    anchor_profile.output_rows = stars[anchor].matches.NumMatches();
-    anchor_profile.eager = options.eager_expansion;
-    anchor_profile.kind = UnitKindName(stars[anchor].kind);
+    anchor_profile.star_center = static_cast<uint32_t>(units[anchor].center);
+    anchor_profile.output_rows = units[anchor].matches.NumMatches();
+    anchor_profile.kind = UnitKindName(units[anchor].kind);
     diagnostics->steps.push_back(anchor_profile);
   }
   // An empty anchor empties every join down the line: return before any
-  // other star gets hash-indexed (or, under the eager strategy, expanded
-  // k-fold).
-  if (stars[anchor].matches.NumMatches() == 0) {
+  // other unit gets hash-indexed.
+  if (units[anchor].matches.NumMatches() == 0) {
     return MatchSet(num_query_vertices);
   }
 
-  Intermediate current{stars[anchor].columns, stars[anchor].matches};
+  Intermediate current{units[anchor].columns, units[anchor].matches};
   if (diagnostics != nullptr) {
     diagnostics->peak_rows =
         std::max(diagnostics->peak_rows, current.rows.NumMatches());
   }
 
-  const uint32_t probe_k = std::max<uint32_t>(avt.k(), 1);
-  std::vector<bool> joined(stars.size(), false);
+  std::vector<bool> joined(units.size(), false);
   joined[anchor] = true;
-  for (size_t step = 1; step < stars.size(); ++step) {
-    // Next star: overlapping with the current columns, cheapest by the
+  for (size_t step = 1; step < units.size(); ++step) {
+    // Next unit: overlapping with the current columns, cheapest by the
     // cost model (Algorithm 2 line 4, with estimated instead of raw
     // cardinalities when the decomposition supplied them); fall back to
     // cheapest overall (cross product) for disconnected queries.
     size_t next = SIZE_MAX;
     bool next_overlaps = false;
-    for (size_t i = 0; i < stars.size(); ++i) {
+    for (size_t i = 0; i < units.size(); ++i) {
       if (joined[i]) continue;
       bool overlaps = false;
-      for (const VertexId column : stars[i].columns) {
+      for (const VertexId column : units[i].columns) {
         if (std::find(current.columns.begin(), current.columns.end(),
                       column) != current.columns.end()) {
           overlaps = true;
@@ -355,22 +352,12 @@ Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
     JoinStepProfile profile;
     profile.step = static_cast<uint32_t>(step);
     profile.star_index = static_cast<uint32_t>(next);
-    profile.star_center = static_cast<uint32_t>(stars[next].center);
+    profile.star_center = static_cast<uint32_t>(units[next].center);
     profile.estimated_rows = use_estimates ? cost_of(next) : 0.0;
-    profile.eager = options.eager_expansion;
-    profile.kind = UnitKindName(stars[next].kind);
+    profile.kind = UnitKindName(units[next].kind);
     bool overflow = false;
-    if (options.eager_expansion) {
-      const MatchSet expanded =
-          ExpandByAutomorphisms(stars[next].matches, avt);  // Lines 5-8.
-      current = JoinStep(current, stars[next].columns, expanded, avt,
-                         /*probe_k=*/1, options, diagnostics, &profile,
-                         &overflow);
-    } else {
-      current = JoinStep(current, stars[next].columns, stars[next].matches,
-                         avt, probe_k, options, diagnostics, &profile,
-                         &overflow);
-    }
+    current = JoinStep(current, units[next].columns, units[next].matches,
+                       avt, options, diagnostics, &profile, &overflow);
     if (diagnostics != nullptr) diagnostics->steps.push_back(profile);
     if (overflow) {
       return Status::ResourceExhausted(
@@ -384,7 +371,7 @@ Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
   // Canonicalize columns to query order 0..m-1.
   if (current.columns.size() != num_query_vertices) {
     return Status::Internal(
-        "star decomposition did not cover every query vertex");
+        "unit decomposition did not cover every query vertex");
   }
   std::vector<size_t> position(num_query_vertices, SIZE_MAX);
   for (size_t p = 0; p < current.columns.size(); ++p) {
@@ -394,8 +381,8 @@ Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
     }
     position[current.columns[p]] = p;
   }
-  // Reorder + final sort-dedup both scale with |Rin|, which can dwarf the
-  // join loop itself on high-fanout queries — run them chunked as well.
+  // The reorder scales with |Rin|, which can dwarf the join loop itself on
+  // high-fanout queries — run it chunked as well.
   const auto chunks = SplitIntoChunks(current.rows.NumMatches(),
                                       options.num_threads, kMinProbeChunk);
   std::vector<MatchSet> parts(chunks.size(), MatchSet(num_query_vertices));
@@ -416,22 +403,11 @@ Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
   for (const MatchSet& part : parts) canonical.AppendAll(part);
   // No dedup pass: every row is distinct by construction. The anchor rows
   // are distinct, and each JoinStep preserves that — a joined row pins down
-  // its probe row (the current columns) and the expanded star row F_m(s)
+  // its probe row (the current columns) and the expanded unit row F_m(s)
   // (overlap + new columns), and the min-shift check already keeps exactly
-  // one (s, m) per expanded row. Sorting ~|Rin| distinct rows was the
+  // one (s, m) per expanded row. Sorting ~|Rin| distinct rows would be the
   // single most expensive phase of large joins, for presentation only.
-  if (options.sorted_output) canonical.SortDedup(options.num_threads);
   return canonical;
-}
-
-Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
-                                 const Avt& avt, size_t num_query_vertices,
-                                 JoinDiagnostics* diagnostics,
-                                 size_t max_rows) {
-  JoinOptions options;
-  options.max_rows = max_rows;
-  return JoinStarMatches(stars, avt, num_query_vertices, options,
-                         diagnostics);
 }
 
 }  // namespace ppsm

@@ -191,7 +191,7 @@ QueryProfile FullProfile() {
   profile.join_steps = {{/*step=*/1, /*star_index=*/0, /*star_center=*/2,
                          /*build_rows=*/14, /*output_rows=*/90,
                          /*injectivity_drops=*/3, /*estimated_rows=*/100.0,
-                         /*eager=*/false, /*overflow=*/true}};
+                         /*overflow=*/true}};
   return profile;
 }
 
@@ -233,7 +233,6 @@ void ExpectProfilesEqual(const QueryProfile& a, const QueryProfile& b) {
     EXPECT_EQ(a.join_steps[i].injectivity_drops,
               b.join_steps[i].injectivity_drops);
     EXPECT_EQ(a.join_steps[i].estimated_rows, b.join_steps[i].estimated_rows);
-    EXPECT_EQ(a.join_steps[i].eager, b.join_steps[i].eager);
     EXPECT_EQ(a.join_steps[i].overflow, b.join_steps[i].overflow);
   }
 }
@@ -259,6 +258,16 @@ TEST(QueryProfileJson, UnknownKeysAreIgnored) {
       "\"status\": \"ok\"}");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->query_id, 7u);
+
+  // Logs written before the join's eager-expansion flag was retired still
+  // parse: the stale per-step key is skipped like any other unknown one.
+  auto legacy = QueryProfileFromJson(
+      "{\"query_id\": 8, \"join_steps\": [{\"step\": 1, \"eager\": true, "
+      "\"overflow\": true}]}");
+  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  ASSERT_EQ(legacy->join_steps.size(), 1u);
+  EXPECT_EQ(legacy->join_steps[0].step, 1u);
+  EXPECT_TRUE(legacy->join_steps[0].overflow);
 }
 
 TEST(QueryProfileJson, MalformedInputIsTypedError) {

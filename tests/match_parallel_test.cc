@@ -1,9 +1,10 @@
-// Parallel query hot path: thread-count invariance of star matching and the
-// automorphism-aware probe join, plus the join edge cases the probe rewrite
-// must preserve (hash-collision verification, cross products, overflow
-// accounting, zero-match anchors). Every test here also runs under TSan in
-// CI — the equivalence tests at 4/8 threads are the data-race canaries for
-// the chunked MatchStar/JoinStep paths.
+// Parallel query hot path: thread-count invariance of unit matching and the
+// automorphism-aware probe join, the join checked against the brute-force
+// matcher, plus the join edge cases the probe must preserve (hash-collision
+// verification, cross products, overflow accounting, zero-match anchors).
+// Every test here also runs under TSan in CI — the equivalence tests at 4/8
+// threads are the data-race canaries for the chunked MatchUnit/JoinStep
+// paths.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +17,8 @@
 #include "kauto/outsourced_graph.h"
 #include "match/decomposition.h"
 #include "match/result_join.h"
-#include "match/star_matcher.h"
 #include "match/subgraph_matcher.h"
+#include "match/unit_matcher.h"
 #include "util/random.h"
 
 namespace ppsm {
@@ -33,10 +34,12 @@ struct CloudFixture {
   GkStatistics stats;
 };
 
-CloudFixture MakeFixture(uint32_t k, double scale = 0.006, uint64_t seed = 1) {
+/// DBpedia-like fixture at privacy parameter k, with Go extracted at radius
+/// `hops` around B1.
+CloudFixture MakeFixture(uint32_t k, uint32_t hops = 1) {
   CloudFixture f;
-  DatasetConfig config = DbpediaLike(scale);
-  config.seed = seed;
+  DatasetConfig config = DbpediaLike(0.006);
+  config.seed = 1;
   auto g = GenerateDataset(config);
   EXPECT_TRUE(g.ok());
   f.g = std::move(g).value();
@@ -53,7 +56,7 @@ CloudFixture MakeFixture(uint32_t k, double scale = 0.006, uint64_t seed = 1) {
   auto kag = BuildKAutomorphicGraph(*anonymized, kopts);
   EXPECT_TRUE(kag.ok());
   f.kag = std::move(kag).value();
-  auto go = BuildOutsourcedGraph(f.kag);
+  auto go = BuildOutsourcedGraph(f.kag, /*num_threads=*/1, hops);
   EXPECT_TRUE(go.ok());
   f.go = std::move(go).value();
   std::vector<VertexTypeId> type_of_group;
@@ -67,17 +70,26 @@ CloudFixture MakeFixture(uint32_t k, double scale = 0.006, uint64_t seed = 1) {
   return f;
 }
 
-/// Star matching at `num_threads`, with the matches translated to Gk ids
+/// The depth-`max_depth` plan of `qo` under the fixture's statistics.
+std::vector<QueryUnit> Plan(const CloudFixture& f, const AttributedGraph& qo,
+                            uint32_t max_depth = 1) {
+  auto decomposition = DecomposeQueryUnits(qo, f.stats, max_depth);
+  EXPECT_TRUE(decomposition.ok()) << decomposition.status();
+  return decomposition.ok() ? decomposition->units
+                            : std::vector<QueryUnit>{};
+}
+
+/// Unit matching at `num_threads`, with the matches translated to Gk ids
 /// (the cloud does the same before joining).
-std::vector<StarMatches> MatchTranslated(const CloudFixture& f,
+std::vector<UnitMatches> MatchTranslated(const CloudFixture& f,
                                          const AttributedGraph& qo,
-                                         const std::vector<VertexId>& centers,
+                                         const std::vector<QueryUnit>& units,
                                          size_t num_threads) {
-  StarMatchOptions options;
+  UnitMatchOptions options;
   options.num_threads = num_threads;
-  std::vector<StarMatches> stars =
-      MatchStars(f.go.graph, f.index, qo, centers, options);
-  for (StarMatches& star : stars) {
+  std::vector<UnitMatches> stars =
+      MatchUnits(f.go.graph, f.index, qo, units, options);
+  for (UnitMatches& star : stars) {
     MatchSet translated(star.matches.arity());
     std::vector<VertexId> row(star.matches.arity());
     for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
@@ -98,9 +110,9 @@ Avt IdentityAvt(uint32_t num_vertices) {
   return avt;
 }
 
-StarMatches MakeStar(std::vector<VertexId> columns,
+UnitMatches MakeStar(std::vector<VertexId> columns,
                      const std::vector<std::vector<VertexId>>& rows) {
-  StarMatches star;
+  UnitMatches star;
   star.center = columns[0];
   star.columns = std::move(columns);
   star.matches = MatchSet(star.columns.size());
@@ -116,14 +128,12 @@ TEST(MatchParallel, MatchStarsEquivalentAcrossThreadCounts) {
     ASSERT_TRUE(extracted.ok());
     auto qo = f.lct.AnonymizeGraph(extracted->query);
     ASSERT_TRUE(qo.ok());
-    auto decomposition = DecomposeQuery(*qo, f.stats);
-    ASSERT_TRUE(decomposition.ok());
+    const std::vector<QueryUnit> units = Plan(f, *qo);
 
-    const std::vector<StarMatches> serial =
-        MatchTranslated(f, *qo, decomposition->centers, 1);
+    const std::vector<UnitMatches> serial = MatchTranslated(f, *qo, units, 1);
     for (const size_t threads : {4u, 8u}) {
-      const std::vector<StarMatches> parallel =
-          MatchTranslated(f, *qo, decomposition->centers, threads);
+      const std::vector<UnitMatches> parallel =
+          MatchTranslated(f, *qo, units, threads);
       ASSERT_EQ(parallel.size(), serial.size());
       for (size_t s = 0; s < serial.size(); ++s) {
         EXPECT_EQ(parallel[s].center, serial[s].center);
@@ -146,15 +156,13 @@ TEST(MatchParallel, JoinEquivalentAcrossThreadCounts) {
     ASSERT_TRUE(extracted.ok());
     auto qo = f.lct.AnonymizeGraph(extracted->query);
     ASSERT_TRUE(qo.ok());
-    auto decomposition = DecomposeQuery(*qo, f.stats);
-    ASSERT_TRUE(decomposition.ok());
-    const std::vector<StarMatches> stars =
-        MatchTranslated(f, *qo, decomposition->centers, 1);
+    const std::vector<UnitMatches> stars =
+        MatchTranslated(f, *qo, Plan(f, *qo), 1);
 
     JoinOptions serial_options;
     serial_options.num_threads = 1;
     auto serial =
-        JoinStarMatches(stars, f.kag.avt, qo->NumVertices(), serial_options);
+        JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(), serial_options);
     ASSERT_TRUE(serial.ok()) << serial.status();
     if (serial->NumMatches() > 0) ++nonempty;
 
@@ -162,7 +170,7 @@ TEST(MatchParallel, JoinEquivalentAcrossThreadCounts) {
       JoinOptions options;
       options.num_threads = threads;
       auto parallel =
-          JoinStarMatches(stars, f.kag.avt, qo->NumVertices(), options);
+          JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(), options);
       ASSERT_TRUE(parallel.ok()) << parallel.status();
       EXPECT_TRUE(MatchSet::EquivalentUnordered(*parallel, *serial))
           << "trial " << trial << " at " << threads << " threads: got "
@@ -172,50 +180,68 @@ TEST(MatchParallel, JoinEquivalentAcrossThreadCounts) {
   EXPECT_GE(nonempty, 1u);  // The equivalence must not be vacuous.
 }
 
-TEST(MatchParallel, ProbeJoinMatchesEagerExpansion) {
-  // The automorphism-aware probe must produce exactly the rows the eager
-  // k-fold expansion produced, while hash-indexing only the un-expanded
-  // star rows (that is the k-independent memory claim).
-  for (const uint32_t k : {2u, 4u}) {
-    const CloudFixture f = MakeFixture(k);
-    Rng rng(93);
-    for (int trial = 0; trial < 4; ++trial) {
-      auto extracted = ExtractQuery(f.g, 3 + trial % 3, rng);
-      ASSERT_TRUE(extracted.ok());
-      auto qo = f.lct.AnonymizeGraph(extracted->query);
-      ASSERT_TRUE(qo.ok());
-      auto decomposition = DecomposeQuery(*qo, f.stats);
-      ASSERT_TRUE(decomposition.ok());
-      const std::vector<StarMatches> stars =
-          MatchTranslated(f, *qo, decomposition->centers, 1);
+TEST(MatchParallel, JoinEqualsAnchoredBruteForceMatches) {
+  // Rin is exactly the rows of R(Qo,Gk) — computed by the brute-force
+  // matcher on the materialized Gk, which the cloud never sees — whose
+  // anchor root lies in block B1, for star plans (radius-1 Go) and mixed
+  // star/path/tree plans (radius 2) alike. The probe join reaches it while
+  // hash-indexing only the un-expanded rows of the non-anchor units.
+  size_t nonempty = 0;
+  size_t deep_units = 0;
+  for (const uint32_t k : {2u, 3u, 4u}) {
+    for (const uint32_t hops : {1u, 2u}) {
+      const CloudFixture f = MakeFixture(k, hops);
+      Rng rng(93);
+      for (int trial = 0; trial < 24; ++trial) {
+        auto extracted = ExtractQuery(f.g, 3 + trial % 3, rng);
+        ASSERT_TRUE(extracted.ok());
+        auto qo = f.lct.AnonymizeGraph(extracted->query);
+        ASSERT_TRUE(qo.ok());
+        const std::vector<QueryUnit> units = Plan(f, *qo, hops);
+        for (const QueryUnit& unit : units) {
+          if (unit.depth > 1) ++deep_units;
+        }
+        const std::vector<UnitMatches> matched =
+            MatchTranslated(f, *qo, units, 1);
 
-      JoinOptions eager;
-      eager.eager_expansion = true;
-      JoinDiagnostics eager_diag;
-      auto eager_rin = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(),
-                                       eager, &eager_diag);
-      ASSERT_TRUE(eager_rin.ok()) << eager_rin.status();
+        JoinDiagnostics diagnostics;
+        auto rin = JoinUnitMatches(matched, f.kag.avt, qo->NumVertices(),
+                                   JoinOptions{}, &diagnostics);
+        ASSERT_TRUE(rin.ok()) << rin.status();
+        ASSERT_LT(diagnostics.anchor_index, matched.size());
 
-      JoinOptions probe;
-      JoinDiagnostics probe_diag;
-      auto probe_rin = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(),
-                                       probe, &probe_diag);
-      ASSERT_TRUE(probe_rin.ok()) << probe_rin.status();
+        const VertexId anchor_root = matched[diagnostics.anchor_index].center;
+        const MatchSet all = FindSubgraphMatches(*qo, f.kag.gk);
+        MatchSet anchored(all.arity());
+        for (size_t r = 0; r < all.NumMatches(); ++r) {
+          const auto row = all.Get(r);
+          if (f.kag.avt.BlockOf(row[anchor_root]) == 0) anchored.Append(row);
+        }
+        EXPECT_TRUE(MatchSet::EquivalentUnordered(*rin, anchored))
+            << "k=" << k << " hops=" << hops << " trial=" << trial
+            << ": got " << rin->NumMatches() << " want "
+            << anchored.NumMatches();
 
-      EXPECT_TRUE(MatchSet::EquivalentUnordered(*probe_rin, *eager_rin))
-          << "k=" << k << " trial=" << trial;
-      // The probe indexes each star once, un-expanded; eager indexes the
-      // k-fold closure.
-      EXPECT_LE(probe_diag.indexed_rows, eager_diag.indexed_rows);
-      EXPECT_EQ(probe_diag.join_steps, eager_diag.join_steps);
+        if (rin->NumMatches() == 0) continue;
+        ++nonempty;
+        size_t unexpanded = 0;
+        for (size_t u = 0; u < matched.size(); ++u) {
+          if (u != diagnostics.anchor_index) {
+            unexpanded += matched[u].matches.NumMatches();
+          }
+        }
+        EXPECT_EQ(diagnostics.indexed_rows, unexpanded)
+            << "k=" << k << " hops=" << hops << " trial=" << trial;
+      }
     }
   }
+  EXPECT_GE(nonempty, 1u);    // The equivalence must not be vacuous...
+  EXPECT_GE(deep_units, 1u);  // ...nor star-only at radius 2.
 }
 
 TEST(MatchParallel, JoinOutputIsAlreadyDeduplicated) {
-  // The join no longer runs a global sort-dedup over Rin: rows must be
-  // distinct by construction. Re-deduplicating a copy must not shrink it,
-  // and the opt-in sorted_output must be the same set in sorted order.
+  // The join runs no global sort-dedup over Rin: rows must be distinct by
+  // construction, so re-deduplicating a copy must not shrink it.
   const CloudFixture f = MakeFixture(3);
   Rng rng(95);
   size_t nonempty = 0;
@@ -224,14 +250,12 @@ TEST(MatchParallel, JoinOutputIsAlreadyDeduplicated) {
     ASSERT_TRUE(extracted.ok());
     auto qo = f.lct.AnonymizeGraph(extracted->query);
     ASSERT_TRUE(qo.ok());
-    auto decomposition = DecomposeQuery(*qo, f.stats);
-    ASSERT_TRUE(decomposition.ok());
-    const std::vector<StarMatches> stars =
-        MatchTranslated(f, *qo, decomposition->centers, 1);
+    const std::vector<UnitMatches> stars =
+        MatchTranslated(f, *qo, Plan(f, *qo), 1);
 
     JoinOptions options;
     options.num_threads = 4;
-    auto rin = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(), options);
+    auto rin = JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(), options);
     ASSERT_TRUE(rin.ok()) << rin.status();
     if (rin->NumMatches() == 0) continue;
     ++nonempty;
@@ -240,41 +264,8 @@ TEST(MatchParallel, JoinOutputIsAlreadyDeduplicated) {
     deduped.SortDedup();
     EXPECT_EQ(deduped.NumMatches(), rin->NumMatches())
         << "trial " << trial << " emitted duplicate rows";
-
-    options.sorted_output = true;
-    auto sorted = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(),
-                                  options);
-    ASSERT_TRUE(sorted.ok()) << sorted.status();
-    EXPECT_TRUE(*sorted == deduped) << "trial " << trial;
   }
   EXPECT_GE(nonempty, 1u);
-}
-
-TEST(MatchParallel, ParallelSortDedupMatchesSerial) {
-  // The keyed parallel SortDedup must produce byte-identical results to the
-  // serial overload, on sets large enough to take the parallel path and
-  // dense enough to exercise key ties and duplicate removal.
-  Rng rng(96);
-  for (const size_t arity : {1u, 2u, 5u}) {
-    MatchSet set(arity);
-    std::vector<VertexId> row(arity);
-    for (int r = 0; r < 40000; ++r) {
-      // Tiny domain: many duplicate rows and many equal 2-column prefixes.
-      for (size_t c = 0; c < arity; ++c) {
-        row[c] = static_cast<VertexId>(rng.Below(arity == 1 ? 5000 : 9));
-      }
-      set.Append(row);
-    }
-    MatchSet serial = set;
-    serial.SortDedup();
-    for (const size_t threads : {2u, 4u, 8u}) {
-      MatchSet parallel = set;
-      parallel.SortDedup(threads);
-      EXPECT_TRUE(parallel == serial)
-          << "arity " << arity << " at " << threads << " threads: got "
-          << parallel.NumMatches() << " rows, want " << serial.NumMatches();
-    }
-  }
 }
 
 TEST(MatchParallel, JoinVerifiesRowsBehindEqualHashKeys) {
@@ -297,7 +288,7 @@ TEST(MatchParallel, JoinVerifiesRowsBehindEqualHashKeys) {
     const VertexId y = static_cast<VertexId>(rng.Below(domain));
     if (x != y) b_rows.push_back({x, y});
   }
-  const std::vector<StarMatches> stars = {MakeStar({0, 1}, a_rows),
+  const std::vector<UnitMatches> stars = {MakeStar({0, 1}, a_rows),
                                           MakeStar({1, 2}, b_rows)};
 
   MatchSet reference(3);
@@ -314,7 +305,7 @@ TEST(MatchParallel, JoinVerifiesRowsBehindEqualHashKeys) {
   for (const size_t threads : {1u, 4u}) {
     JoinOptions options;
     options.num_threads = threads;
-    auto joined = JoinStarMatches(stars, avt, 3, options);
+    auto joined = JoinUnitMatches(stars, avt, 3, options);
     ASSERT_TRUE(joined.ok()) << joined.status();
     EXPECT_TRUE(MatchSet::EquivalentUnordered(*joined, reference))
         << "at " << threads << " threads: got " << joined->NumMatches()
@@ -326,22 +317,22 @@ TEST(MatchParallel, DisconnectedStarsFallBackToCrossProduct) {
   // No shared query vertex between the stars: the join must take the
   // cross-product path (and still apply the injectivity filter).
   const Avt avt = IdentityAvt(20);
-  const std::vector<StarMatches> stars = {
+  const std::vector<UnitMatches> stars = {
       MakeStar({0, 1}, {{0, 1}, {2, 3}}),
       MakeStar({2, 3}, {{4, 5}, {6, 7}, {8, 9}})};
   JoinDiagnostics diagnostics;
   JoinOptions options;
-  auto joined = JoinStarMatches(stars, avt, 4, options, &diagnostics);
+  auto joined = JoinUnitMatches(stars, avt, 4, options, &diagnostics);
   ASSERT_TRUE(joined.ok()) << joined.status();
   EXPECT_EQ(joined->NumMatches(), 6u);  // 2 x 3, all value-disjoint.
   EXPECT_EQ(diagnostics.join_steps, 1u);
 
   // Overlapping values: injectivity must prune the colliding combination.
-  const std::vector<StarMatches> overlapping = {
+  const std::vector<UnitMatches> overlapping = {
       MakeStar({0, 1}, {{0, 1}, {2, 3}}),
       MakeStar({2, 3}, {{1, 5}, {6, 7}})};
   JoinDiagnostics diag2;
-  auto pruned = JoinStarMatches(overlapping, avt, 4, options, &diag2);
+  auto pruned = JoinUnitMatches(overlapping, avt, 4, options, &diag2);
   ASSERT_TRUE(pruned.ok());
   EXPECT_EQ(pruned->NumMatches(), 3u);  // (0,1)x(1,5) reuses vertex 1.
   EXPECT_EQ(diag2.injectivity_drops, 1u);
@@ -360,12 +351,12 @@ TEST(MatchParallel, OverflowStillRecordsPeakRows) {
   for (VertexId j = 0; j < 20; ++j) {
     big_rows.push_back({100 + 2 * j, 101 + 2 * j});
   }
-  const std::vector<StarMatches> stars = {MakeStar({0, 1}, anchor_rows),
+  const std::vector<UnitMatches> stars = {MakeStar({0, 1}, anchor_rows),
                                           MakeStar({2, 3}, big_rows)};
   JoinOptions options;
   options.max_rows = 50;  // Cross product is 200 rows; overflows.
   JoinDiagnostics diagnostics;
-  auto joined = JoinStarMatches(stars, avt, 4, options, &diagnostics);
+  auto joined = JoinUnitMatches(stars, avt, 4, options, &diagnostics);
   ASSERT_FALSE(joined.ok());
   EXPECT_TRUE(joined.status().code() == StatusCode::kResourceExhausted);
   EXPECT_EQ(diagnostics.peak_rows, options.max_rows);
@@ -373,30 +364,26 @@ TEST(MatchParallel, OverflowStillRecordsPeakRows) {
 }
 
 TEST(MatchParallel, ZeroMatchAnchorSkipsAllJoinWork) {
-  // An empty star empties the result; the join must return before hashing
-  // (or, eagerly, expanding) any other star.
+  // An empty unit empties the result; the join must return before hashing
+  // any other unit.
   const Avt avt = IdentityAvt(20);
-  const std::vector<StarMatches> stars = {
+  const std::vector<UnitMatches> stars = {
       MakeStar({0, 1}, {}),
       MakeStar({1, 2}, {{1, 2}, {3, 4}, {5, 6}})};
-  for (const bool eager : {false, true}) {
-    JoinOptions options;
-    options.eager_expansion = eager;
-    JoinDiagnostics diagnostics;
-    auto joined = JoinStarMatches(stars, avt, 3, options, &diagnostics);
-    ASSERT_TRUE(joined.ok()) << joined.status();
-    EXPECT_EQ(joined->NumMatches(), 0u);
-    EXPECT_EQ(diagnostics.join_steps, 0u);
-    EXPECT_EQ(diagnostics.indexed_rows, 0u);
-    // Regression: the short-circuit used to return with an empty `steps`
-    // trace, hiding WHICH star emptied the result from the flight recorder.
-    // The anchor must still be on record as a terminal step 0.
-    ASSERT_EQ(diagnostics.steps.size(), 1u);
-    EXPECT_EQ(diagnostics.steps[0].step, 0u);
-    EXPECT_EQ(diagnostics.steps[0].star_index, 0u);
-    EXPECT_EQ(diagnostics.steps[0].output_rows, 0u);
-    EXPECT_EQ(diagnostics.anchor_rows, 0u);
-  }
+  JoinDiagnostics diagnostics;
+  auto joined = JoinUnitMatches(stars, avt, 3, JoinOptions{}, &diagnostics);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ(joined->NumMatches(), 0u);
+  EXPECT_EQ(diagnostics.join_steps, 0u);
+  EXPECT_EQ(diagnostics.indexed_rows, 0u);
+  // Regression: the short-circuit used to return with an empty `steps`
+  // trace, hiding WHICH unit emptied the result from the flight recorder.
+  // The anchor must still be on record as a terminal step 0.
+  ASSERT_EQ(diagnostics.steps.size(), 1u);
+  EXPECT_EQ(diagnostics.steps[0].step, 0u);
+  EXPECT_EQ(diagnostics.steps[0].star_index, 0u);
+  EXPECT_EQ(diagnostics.steps[0].output_rows, 0u);
+  EXPECT_EQ(diagnostics.anchor_rows, 0u);
 }
 
 TEST(MatchParallel, StarRowCapIsExactAcrossThreadCounts) {
@@ -415,13 +402,14 @@ TEST(MatchParallel, StarRowCapIsExactAcrossThreadCounts) {
   ASSERT_TRUE(q.AddEdge(0, 2).ok());
   const AttributedGraph qo = q.Build().value();
 
-  const StarMatches uncapped = MatchStar(g, index, qo, 0);
+  const QueryUnit star = MakeStarUnit(qo, 0);
+  const UnitMatches uncapped = MatchUnit(g, index, qo, star);
   ASSERT_GT(uncapped.matches.NumMatches(), 500u);
   for (const size_t threads : {1u, 4u, 8u}) {
-    StarMatchOptions options;
+    UnitMatchOptions options;
     options.max_rows = 137;
     options.num_threads = threads;
-    const StarMatches capped = MatchStar(g, index, qo, 0, options);
+    const UnitMatches capped = MatchUnit(g, index, qo, star, options);
     EXPECT_EQ(capped.matches.NumMatches(), 137u) << threads << " threads";
     EXPECT_TRUE(capped.truncated);
   }

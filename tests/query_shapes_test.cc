@@ -67,16 +67,19 @@ TEST_P(ShapedQueries, ExtractsAndMatches) {
   }
 }
 
+// gtest prints a ShapeCase as its raw bytes, and ctest's test name carries
+// that print. The cases live in a static array so the padding after `shape`
+// is zero rather than stack garbage, which varied with the environment and
+// made the registered names differ from one build to the next.
+constexpr ShapeCase kShapeCases[] = {
+    {QueryShape::kPath, 1},  {QueryShape::kPath, 5},
+    {QueryShape::kStar, 3},  {QueryShape::kStar, 6},
+    {QueryShape::kCycle, 3}, {QueryShape::kCycle, 4},
+    {QueryShape::kTree, 6},  {QueryShape::kRandomWalk, 6},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, ShapedQueries,
-    ::testing::Values(ShapeCase{QueryShape::kPath, 1},
-                      ShapeCase{QueryShape::kPath, 5},
-                      ShapeCase{QueryShape::kStar, 3},
-                      ShapeCase{QueryShape::kStar, 6},
-                      ShapeCase{QueryShape::kCycle, 3},
-                      ShapeCase{QueryShape::kCycle, 4},
-                      ShapeCase{QueryShape::kTree, 6},
-                      ShapeCase{QueryShape::kRandomWalk, 6}),
+    Shapes, ShapedQueries, ::testing::ValuesIn(kShapeCases),
     [](const auto& info) {
       std::string name = QueryShapeName(info.param.shape);
       for (char& c : name) {

@@ -62,11 +62,11 @@ CloudFixture MakeFixture(uint32_t k, double scale = 0.006, uint64_t seed = 1) {
 
 /// Runs the optimized cloud path by hand and returns Rin (Gk ids).
 Result<MatchSet> ComputeRin(const CloudFixture& f, const AttributedGraph& qo) {
-  PPSM_ASSIGN_OR_RETURN(const StarDecomposition decomposition,
-                        DecomposeQuery(qo, f.stats));
-  std::vector<StarMatches> stars =
-      MatchStars(f.go.graph, f.index, qo, decomposition.centers);
-  for (StarMatches& star : stars) {
+  PPSM_ASSIGN_OR_RETURN(const UnitDecomposition decomposition,
+                        DecomposeQueryUnits(qo, f.stats, /*max_depth=*/1));
+  std::vector<UnitMatches> stars =
+      MatchUnits(f.go.graph, f.index, qo, decomposition.units);
+  for (UnitMatches& star : stars) {
     MatchSet translated(star.matches.arity());
     std::vector<VertexId> row(star.matches.arity());
     for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
@@ -78,7 +78,7 @@ Result<MatchSet> ComputeRin(const CloudFixture& f, const AttributedGraph& qo) {
     }
     star.matches = std::move(translated);
   }
-  return JoinStarMatches(stars, f.kag.avt, qo.NumVertices());
+  return JoinUnitMatches(stars, f.kag.avt, qo.NumVertices(), JoinOptions{});
 }
 
 TEST(ExpandByAutomorphisms, ClosesUnderTheGroup) {
@@ -182,7 +182,7 @@ TEST(ResultJoin, EmptyStarShortCircuits) {
 
 TEST(ResultJoin, RejectsEmptyStarList) {
   const CloudFixture f = MakeFixture(2);
-  EXPECT_FALSE(JoinStarMatches({}, f.kag.avt, 3).ok());
+  EXPECT_FALSE(JoinUnitMatches({}, f.kag.avt, 3, JoinOptions{}).ok());
 }
 
 TEST(ResultJoin, DiagnosticsPopulated) {
@@ -192,11 +192,11 @@ TEST(ResultJoin, DiagnosticsPopulated) {
   ASSERT_TRUE(extracted.ok());
   auto qo = f.lct.AnonymizeGraph(extracted->query);
   ASSERT_TRUE(qo.ok());
-  auto decomposition = DecomposeQuery(*qo, f.stats);
+  auto decomposition = DecomposeQueryUnits(*qo, f.stats, /*max_depth=*/1);
   ASSERT_TRUE(decomposition.ok());
-  std::vector<StarMatches> stars =
-      MatchStars(f.go.graph, f.index, *qo, decomposition->centers);
-  for (StarMatches& star : stars) {
+  std::vector<UnitMatches> stars =
+      MatchUnits(f.go.graph, f.index, *qo, decomposition->units);
+  for (UnitMatches& star : stars) {
     MatchSet translated(star.matches.arity());
     std::vector<VertexId> row(star.matches.arity());
     for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
@@ -207,8 +207,8 @@ TEST(ResultJoin, DiagnosticsPopulated) {
     star.matches = std::move(translated);
   }
   JoinDiagnostics diagnostics;
-  auto rin = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(),
-                             &diagnostics);
+  auto rin = JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(),
+                             JoinOptions{}, &diagnostics);
   ASSERT_TRUE(rin.ok());
   if (stars.size() > 1) {
     EXPECT_GE(diagnostics.peak_rows, rin->NumMatches());

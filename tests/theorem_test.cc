@@ -113,8 +113,9 @@ TEST_P(TheoremK, Theorem3OrbitClosure) {
 INSTANTIATE_TEST_SUITE_P(Ks, TheoremK, ::testing::Values(2, 3, 4));
 
 TEST(Theorem2, DecompositionIlpMatchesWeightedVertexCover) {
-  // Theorem 2 frames decomposition as weighted vertex cover; our exact ILP
-  // must therefore agree with brute-force vertex cover on random queries.
+  // Theorem 2 frames decomposition as weighted vertex cover; the depth-1
+  // unit planner must therefore agree with brute-force vertex cover on
+  // random queries.
   Rng rng(103);
   const auto g = GenerateUniformRandomGraph(50, 150, 4, 31);
   ASSERT_TRUE(g.ok());
@@ -129,8 +130,9 @@ TEST(Theorem2, DecompositionIlpMatchesWeightedVertexCover) {
     auto extracted = ExtractQuery(*g, 6, rng);
     ASSERT_TRUE(extracted.ok());
     const AttributedGraph& q = extracted->query;
-    auto decomposition = DecomposeQuery(q, stats);
+    auto decomposition = DecomposeQueryUnits(q, stats, /*max_depth=*/1);
     ASSERT_TRUE(decomposition.ok());
+    EXPECT_TRUE(IsValidUnitDecomposition(q, decomposition->units));
 
     CoverIlp model;
     for (VertexId v = 0; v < q.NumVertices(); ++v) {
