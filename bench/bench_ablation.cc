@@ -76,7 +76,7 @@ void AblateRinTransfer(const BenchDataset& dataset, size_t queries) {
       if (!qo.ok()) continue;
       auto request = system->owner().AnonymizeQueryToRequest(
           extracted->query);
-      auto answer = system->cloud().Serve(*request);
+      auto answer = system->cluster().Serve(*request);
       if (!answer.ok()) continue;
       auto rin = MatchSet::Deserialize(answer->response_payload);
       if (!rin.ok()) continue;

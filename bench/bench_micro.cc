@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "anonymize/grouping.h"
-#include "cloud/cloud_server.h"
+#include "cloud/cluster.h"
 #include "cloud/data_owner.h"
 #include "graph/generators.h"
 #include "graph/query_extractor.h"
@@ -72,11 +72,11 @@ void BM_ZipfSample(benchmark::State& state) {
 BENCHMARK(BM_ZipfSample)->Arg(100)->Arg(10000);
 
 /// Shared fixture pieces built once per benchmark binary run. Owner and
-/// server are factory-built, so hold them behind pointers.
+/// cloud are factory-built, so hold them behind pointers.
 struct Fixture {
   AttributedGraph g;
   std::unique_ptr<DataOwner> owner;
-  std::unique_ptr<CloudServer> server;
+  std::unique_ptr<CloudCluster> cloud;
   std::vector<AttributedGraph> queries;
 
   static Fixture& Get() {
@@ -91,9 +91,9 @@ struct Fixture {
       auto owner = DataOwner::Create(f->g, f->g.schema(), options);
       PPSM_CHECK_OK(owner);
       f->owner = std::make_unique<DataOwner>(std::move(owner).value());
-      auto server = CloudServer::Host(f->owner->upload_bytes());
-      PPSM_CHECK_OK(server);
-      f->server = std::make_unique<CloudServer>(std::move(server).value());
+      auto cloud = CloudCluster::Host(f->owner->upload_bytes(), {});
+      PPSM_CHECK_OK(cloud);
+      f->cloud = std::make_unique<CloudCluster>(std::move(cloud).value());
       Rng rng(11);
       for (int i = 0; i < 16; ++i) {
         auto extracted = ExtractQuery(f->g, 6, rng);
@@ -150,7 +150,7 @@ void BM_CloudServe(benchmark::State& state) {
   for (auto _ : state) {
     const auto request =
         f.owner->AnonymizeQueryToRequest(f.queries[i % f.queries.size()]);
-    auto answer = f.server->Serve(*request);
+    auto answer = f.cloud->Serve(*request);
     benchmark::DoNotOptimize(answer.ok());
     ++i;
   }
@@ -161,7 +161,7 @@ void BM_ClientProcessResponse(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   const AttributedGraph& query = f.queries.front();
   const auto request = f.owner->AnonymizeQueryToRequest(query);
-  const auto answer = f.server->Serve(*request);
+  const auto answer = f.cloud->Serve(*request);
   for (auto _ : state) {
     auto results = f.owner->ProcessResponse(query, answer->response_payload);
     benchmark::DoNotOptimize(results.ok());

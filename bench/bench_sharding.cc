@@ -5,7 +5,8 @@
 // bench makes that claim measurable: a synthetic outsourced graph whose Go
 // is IDENTICAL for every k (only the AVT/Gk ids grow with k) is served at
 // k ∈ {2, 8} and shard counts {1, 2, 4}, asserting along the way that every
-// sharded payload is byte-identical to the unsharded CloudServer's.
+// cluster payload is byte-identical to the test-only reference pipeline's
+// (tests/cloud_oracle.h) over the whole upload.
 //
 // Unlike the timing benches this one is fully deterministic — a counting
 // benchmark, no timers: the fixture is formula-built, seeds are fixed, and
@@ -27,6 +28,7 @@
 #include "bench/bench_common.h"
 #include "cloud/cloud_server.h"
 #include "cloud/cluster.h"
+#include "tests/cloud_oracle.h"
 #include "cloud/messages.h"
 #include "graph/attributed_graph.h"
 #include "graph/query_extractor.h"
@@ -95,7 +97,7 @@ struct CellResult {
   uint32_t shards = 0;
   size_t result_rows = 0;
   size_t exchanged_bytes = 0;
-  bool identical = true;  // Payloads byte-equal to the unsharded server's.
+  bool identical = true;  // Payloads byte-equal to the oracle's.
 };
 
 /// Writes the gate snapshot. The committed bench_results/BENCH_sharding.json
@@ -110,9 +112,10 @@ void WriteBenchJson(const std::string& path,
   out << "{\n"
       << "  \"description\": \"Sharded-cloud exchange volume: un-expanded "
          "R(S,Go) probe rows shipped shard -> coordinator must not depend "
-         "on the privacy parameter k, and every sharded response payload "
-         "must be byte-identical to the unsharded CloudServer's. Fully "
-         "deterministic counting benchmark (no timers).\",\n"
+         "on the privacy parameter k, and every cluster response payload "
+         "must be byte-identical to the reference pipeline's over the whole "
+         "upload (tests/cloud_oracle.h). Fully deterministic counting "
+         "benchmark (no timers).\",\n"
       << "  \"fixture\": \"synthetic B1-only Go, " << kVertices
       << " vertices, " << kNumTypes << " types, " << kNumGroups
       << " label groups, ring+chord(7,13) edges; identical Go for every k "
@@ -206,7 +209,7 @@ int Run() {
       cell.k = k;
       cell.shards = num_shards;
       for (const auto& request : requests) {
-        auto want = server->Serve(request);
+        auto want = OracleServe(*server, request);
         auto got = cluster->Serve(request);
         if (!want.ok() || !got.ok()) {
           std::fprintf(stderr, "serve failed (k=%u shards=%u)\n", k,
@@ -214,7 +217,7 @@ int Run() {
           return 1;
         }
         cell.result_rows += got->stats.result_rows;
-        if (got->response_payload != want->response_payload) {
+        if (got->response_payload != want->payload) {
           cell.identical = false;
         }
       }

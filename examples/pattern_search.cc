@@ -12,7 +12,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "cloud/cloud_server.h"
+#include "cloud/cluster.h"
 #include "cloud/owner_store.h"
 #include "graph/example_graphs.h"
 #include "graph/text_io.h"
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     std::cerr << "BUG: restored owner would republish different bytes!\n";
     return 1;
   }
-  auto cloud = CloudServer::Host(restored->upload_bytes());
+  auto cloud = CloudCluster::Host(restored->upload_bytes(), ClusterConfig{});
   if (!cloud.ok()) {
     std::cerr << cloud.status() << "\n";
     return 1;

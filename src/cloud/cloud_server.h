@@ -2,7 +2,7 @@
 #define PPSM_CLOUD_CLOUD_SERVER_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,7 +12,6 @@
 #include "kauto/avt.h"
 #include "match/index.h"
 #include "match/statistics.h"
-#include "obs/query_profile.h"
 #include "query/query_api.h"
 #include "util/intersect.h"
 #include "util/status.h"
@@ -23,12 +22,13 @@ namespace ppsm {
 /// graph) needs to evaluate its share of a query. Deployment-scoped knobs
 /// (shard count, admission, deadlines) live in ClusterConfig.
 struct ShardConfig {
-  /// Worker threads for the star-matching phase of one query (paper §4.2.1:
-  /// stars are independent). Drawn from the shared ThreadPool; 0 clamps
-  /// to 1 (serial).
+  /// Worker threads for the unit-matching and join phases of one query
+  /// (paper §4.2.1: units are independent). Drawn from the shared
+  /// ThreadPool; 0 clamps to 1 (serial).
   size_t num_threads = 1;
-  /// Capacity of the decomposition plan cache (LRU over canonical Qo
-  /// signatures; see match/decomposition.h QoSignature). 0 disables caching.
+  /// Capacity of the cluster coordinator's decomposition plan cache (LRU
+  /// over canonical Qo signatures; see match/decomposition.h QoSignature).
+  /// 0 disables caching.
   size_t plan_cache_entries = 128;
   /// Cap on the BFS depth of decomposition units the planner may pick
   /// (match/query_unit.h). 0 = use the hosted graph's full hop radius; 1 =
@@ -48,8 +48,9 @@ struct ShardConfig {
 /// Deployment-scoped serving knobs: how many shards host the graph and how
 /// the fronting QueryService admits traffic.
 struct ClusterConfig {
-  /// Number of CloudServer shards hosting slices of Go. 1 = the classic
-  /// unsharded deployment (0 clamps to 1).
+  /// Number of CloudServer shards hosting slices of Go. 1 hosts the whole
+  /// upload as the only slice — the unsharded deployment, BAS included
+  /// (0 clamps to 1).
   uint32_t num_shards = 1;
   /// QueryService admission bound: queries executing simultaneously. Further
   /// arrivals wait in a queue bounded at 2 * max_inflight, beyond which they
@@ -84,69 +85,47 @@ ClusterConfig ToClusterConfig(const CloudConfig& config);
 CloudConfig ToCloudConfig(const ShardConfig& shard,
                           const ClusterConfig& cluster);
 
-/// Point-in-time plan-cache accounting for one server (the global
-/// ppsm_cloud_plan_cache_* metrics aggregate across servers).
-struct PlanCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  size_t entries = 0;
-  size_t capacity = 0;
-};
-
-/// The honest-but-curious cloud. It only ever sees anonymized artifacts:
-/// the upload package (Go+AVT, or Gk for the baseline) and per-query Qo
-/// graphs whose labels are opaque group ids. Query evaluation follows
-/// §4.2.1: cost-model query decomposition (exact ILP, memoized in the plan
-/// cache), VBV/LBV-indexed star matching, then the result join. On the
-/// optimized path the join expands star matches with the automorphic
-/// functions and returns Rin; the baseline path hosts all of Gk, joins
-/// without expansion, and returns R(Qo,Gk).
+/// The honest-but-curious cloud's view of one hosted graph: the upload
+/// package (Go+AVT, or Gk for the baseline), validated and indexed. It only
+/// ever sees anonymized artifacts — Qo labels are opaque group ids. A
+/// CloudServer answers nothing by itself: CloudCluster (cloud/cluster.h)
+/// hosts one per shard and runs the §4.2.1 evaluation over them, and at
+/// one shard the server's graph is the whole upload. The read accessors
+/// below are what the cluster (and test-only reference evaluations) plan
+/// and match against.
 ///
-/// Thread-safety: a hosted server is immutable — Serve is const and any
-/// number of threads may call it concurrently (the plan cache is the only
-/// shared mutable state and sits behind its own mutex). Concurrent
-/// admission control and batching live in cloud/query_service.h.
-class CloudServer : public QueryHandler {
+/// Thread-safety: a hosted server is immutable; every accessor is const.
+class CloudServer {
  public:
-  // Movable, not copyable. Out-of-line because PlanCache is incomplete here.
-  ~CloudServer() override;
-  CloudServer(CloudServer&&) noexcept;
-  CloudServer& operator=(CloudServer&&) noexcept;
-
   /// Ingests a serialized upload package and builds the offline index.
   static Result<CloudServer> Host(std::span<const uint8_t> package_bytes,
                                   const CloudConfig& config = {});
   /// Same, from an in-memory package (tests).
   static Result<CloudServer> Host(UploadPackage package,
                                   const CloudConfig& config = {});
-  /// Hosts one shard's slice of Go (ShardUpload::package). The slice's B1
-  /// prefix is smaller than the full AVT, so the full-package consistency
-  /// check num_b1 == avt.num_rows is relaxed to num_b1 <= avt.num_rows;
-  /// everything else (index build, query evaluation) is the regular path.
+  /// Hosts one shard's slice of Go (ShardUpload::package) with the global
+  /// statistics every shard carries (ShardUpload::stats) — a slice's own B1
+  /// is a biased sample, so it is never summarized on its own. The slice's
+  /// B1 prefix is smaller than the full AVT, so the full-package check
+  /// num_b1 == avt.num_rows is relaxed to num_b1 <= avt.num_rows; the
+  /// index build is the regular one.
   static Result<CloudServer> HostSlice(UploadPackage package,
+                                       GkStatistics stats,
                                        const ShardConfig& config);
 
-  /// The one query entry point (QueryHandler): evaluates a serialized Qo
-  /// under the given context. ctx.stats, when set, is filled on every
-  /// return path — failure included.
-  Result<WireAnswer> Serve(std::span<const uint8_t> qo_bytes,
-                           const QueryContext& ctx = {}) const override;
-  ServiceLimits limits() const override {
+  /// The serving limits this server was hosted with.
+  ServiceLimits limits() const {
     return {config_.max_inflight, config_.query_deadline_ms};
   }
-
   const CloudConfig& config() const { return config_; }
-  /// Star-matching workers per query (config().num_threads, clamped >= 1).
+  /// Unit-matching workers per query (config().num_threads, clamped >= 1).
   size_t num_threads() const { return config_.num_threads; }
-
-  /// Hit/miss/occupancy counters of this server's plan cache.
-  PlanCacheStats plan_cache_stats() const;
 
   bool IsBaseline() const { return baseline_; }
   uint32_t k() const { return avt_.k(); }
   /// Hop radius of the hosted Go (1 for the paper's Go and the baseline).
   uint32_t hops() const { return hops_; }
-  /// Deepest decomposition unit the planner may pick on this server: the
+  /// Deepest decomposition unit a planner may pick on this server: the
   /// hosted radius, tightened by config.max_unit_depth when set.
   uint32_t EffectiveUnitDepth() const {
     uint32_t depth = hops_;
@@ -161,22 +140,22 @@ class CloudServer : public QueryHandler {
   size_t NumCenters() const { return index_.num_centers(); }
   /// Number of edges stored in the hosted graph (|E(Go)| or |E(Gk)|).
   size_t HostedEdges() const { return data_.NumEdges(); }
+  /// The §5.1 cost-model statistics the planner reads: computed over the
+  /// whole upload, or the global table a shard slice was hosted with.
   const GkStatistics& statistics() const { return stats_; }
-  /// Read access for the cluster coordinator (shard-local planning + the
-  /// slice-to-global row translation run outside this server).
   const AttributedGraph& data() const { return data_; }
   const CloudIndex& index() const { return index_; }
   const Avt& avt() const { return avt_; }
+  /// Hosted id -> Gk id (the identity for the baseline).
   const std::vector<VertexId>& to_gk() const { return to_gk_; }
 
  private:
-  struct PlanCache;  // Mutex + LRU, behind a pointer so the server moves.
-
   CloudServer() = default;
 
-  static Result<CloudServer> HostImpl(UploadPackage package,
-                                      const CloudConfig& config,
-                                      bool slice);
+  /// `slice_stats` is set exactly for shard slices (HostSlice).
+  static Result<CloudServer> HostImpl(
+      UploadPackage package, const CloudConfig& config,
+      std::optional<GkStatistics> slice_stats);
 
   bool baseline_ = false;
   uint32_t hops_ = 1;              // Hop radius of the hosted Go.
@@ -187,7 +166,6 @@ class CloudServer : public QueryHandler {
   GkStatistics stats_;
   double index_build_ms_ = 0.0;
   CloudConfig config_;
-  std::unique_ptr<PlanCache> plan_cache_;  // Null when caching disabled.
 };
 
 }  // namespace ppsm

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "cloud/shard_exchange.h"
-#include "match/decomposition.h"
 #include "match/result_join.h"
 #include "match/unit_matcher.h"
 #include "obs/flight_recorder.h"
@@ -20,20 +19,91 @@ namespace ppsm {
 
 namespace {
 
-/// Per-phase intermediate-row budget, same value as the unsharded server's
-/// (cloud_server.cc kMaxRows). Each shard enforces it locally during star
-/// matching; the coordinator re-checks the merged totals so the sharded
-/// refusal boundary coincides with the unsharded one: a star that would
-/// truncate on one server either truncates on some shard or overflows the
-/// merged stream here.
+/// Per-phase intermediate-row budget. A unit or join state larger than this
+/// means the (anonymized) query is degenerate for exact answering; the cloud
+/// refuses with ResourceExhausted rather than exhausting memory. Each shard
+/// enforces it during unit matching and the coordinator re-checks the merged
+/// totals, so the refusal boundary is the same at every shard count: a unit
+/// that would truncate on the whole upload either truncates on some shard or
+/// overflows the merged stream.
 constexpr size_t kMaxRows = 2'000'000;
 
 using SteadyClock = std::chrono::steady_clock;
 
-struct ClusterMetrics {
+/// Per-query evaluation metrics in the global registry, resolved once.
+/// CloudQueryStats stays the per-query view returned to callers; these
+/// accumulate across queries for export (DESIGN.md "Observability").
+struct CloudMetrics {
   MetricsRegistry::Counter queries;
-  MetricsRegistry::Counter exchanged_bytes;
+  MetricsRegistry::Counter stars;
+  MetricsRegistry::Counter rs_rows;
+  MetricsRegistry::Counter result_rows;
+  MetricsRegistry::Counter plan_cache_hits;
+  MetricsRegistry::Counter plan_cache_misses;
   MetricsRegistry::Counter deadline_exceeded;
+  MetricsRegistry::Histogram decomposition_ms;
+  MetricsRegistry::Histogram star_matching_ms;
+  MetricsRegistry::Histogram join_ms;
+  MetricsRegistry::Histogram query_ms;
+  MetricsRegistry::Histogram star_rows;
+  MetricsRegistry::Histogram join_estimate_ratio;
+  MetricsRegistry::Gauge plan_cache_entries;
+
+  static const CloudMetrics& Get() {
+    static const CloudMetrics m = [] {
+      MetricsRegistry& r = MetricsRegistry::Global();
+      CloudMetrics metrics;
+      metrics.queries =
+          r.counter("ppsm_cloud_queries_total", "Queries answered");
+      metrics.stars = r.counter("ppsm_cloud_stars_total",
+                                "Stars across all decompositions");
+      metrics.rs_rows =
+          r.counter("ppsm_cloud_rs_rows_total", "Star matches |RS|");
+      metrics.result_rows =
+          r.counter("ppsm_cloud_result_rows_total", "Joined rows returned");
+      metrics.plan_cache_hits =
+          r.counter("ppsm_cloud_plan_cache_hits_total",
+                    "Decompositions served from the plan cache");
+      metrics.plan_cache_misses =
+          r.counter("ppsm_cloud_plan_cache_misses_total",
+                    "Decompositions that ran the ILP solver");
+      metrics.deadline_exceeded =
+          r.counter("ppsm_cloud_deadline_exceeded_total",
+                    "Queries abandoned at their deadline");
+      metrics.decomposition_ms =
+          r.histogram("ppsm_cloud_decomposition_ms", DefaultLatencyBucketsMs(),
+                      "Query decomposition time");
+      metrics.star_matching_ms =
+          r.histogram("ppsm_cloud_star_matching_ms", DefaultLatencyBucketsMs(),
+                      "Star matching phase time");
+      metrics.join_ms = r.histogram("ppsm_cloud_join_ms",
+                                    DefaultLatencyBucketsMs(),
+                                    "Result join time");
+      metrics.query_ms = r.histogram("ppsm_cloud_query_ms",
+                                     DefaultLatencyBucketsMs(),
+                                     "Cloud query evaluation time");
+      metrics.star_rows =
+          r.histogram("ppsm_cloud_star_match_rows", DefaultCountBuckets(),
+                      "Matches per star");
+      // Estimate/actual join-step ratio buckets: powers of two around 1.0
+      // (1.0 = perfectly calibrated cost model; the tails are the
+      // mis-ordered joins worth staring at).
+      metrics.join_estimate_ratio = r.histogram(
+          "ppsm_cloud_join_step_estimate_ratio",
+          {0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0},
+          "Cost-model (estimate+1)/(actual+1) per join step");
+      metrics.plan_cache_entries =
+          r.gauge("ppsm_cloud_plan_cache_entries",
+                  "Plan-cache occupancy (last hosted cluster)");
+      return metrics;
+    }();
+    return m;
+  }
+};
+
+/// Shard-exchange metrics; only sharded deployments record them.
+struct ClusterMetrics {
+  MetricsRegistry::Counter exchanged_bytes;
   MetricsRegistry::Histogram exchange_ms;
   MetricsRegistry::Histogram shard_rows;
   MetricsRegistry::Gauge shards;
@@ -42,14 +112,9 @@ struct ClusterMetrics {
     static const ClusterMetrics m = [] {
       MetricsRegistry& r = MetricsRegistry::Global();
       ClusterMetrics metrics;
-      metrics.queries = r.counter("ppsm_cluster_queries_total",
-                                  "Queries answered by a sharded cluster");
       metrics.exchanged_bytes =
           r.counter("ppsm_cluster_exchanged_bytes_total",
                     "Star-row bytes shipped shard -> coordinator");
-      metrics.deadline_exceeded =
-          r.counter("ppsm_cluster_deadline_exceeded_total",
-                    "Cluster queries abandoned at their deadline");
       metrics.exchange_ms =
           r.histogram("ppsm_cluster_exchange_ms", DefaultLatencyBucketsMs(),
                       "Per-shard exchange transfer time");
@@ -65,9 +130,25 @@ struct ClusterMetrics {
 };
 
 Status MakeDeadlineExceeded(const char* phase) {
-  ClusterMetrics::Get().deadline_exceeded.Increment();
+  CloudMetrics::Get().deadline_exceeded.Increment();
   return Status::DeadlineExceeded(std::string("query deadline exceeded (") +
                                   phase + ")");
+}
+
+/// Rewrites every row of `units` through `map` (source id -> target id).
+void TranslateRows(std::vector<UnitMatches>& units,
+                   const std::vector<VertexId>& map) {
+  for (UnitMatches& unit : units) {
+    MatchSet translated(unit.matches.arity());
+    translated.ReserveAdditional(unit.matches.NumMatches());
+    std::vector<VertexId> row(unit.matches.arity());
+    for (size_t r = 0; r < unit.matches.NumMatches(); ++r) {
+      const auto from = unit.matches.Get(r);
+      for (size_t i = 0; i < from.size(); ++i) row[i] = map[from[i]];
+      translated.Append(row);
+    }
+    unit.matches = std::move(translated);
+  }
 }
 
 }  // namespace
@@ -76,7 +157,8 @@ Result<ShardingPlan> BuildShardUploads(const UploadPackage& package,
                                        uint32_t num_shards, uint64_t seed) {
   if (package.IsBaseline()) {
     return Status::InvalidArgument(
-        "sharding requires the optimized upload shape");
+        "sharding requires the optimized upload shape; the BAS baseline "
+        "ships all of Gk and has no partitionable B1 block");
   }
   if (!package.go.has_value() || !package.avt.has_value()) {
     return Status::InvalidArgument("optimized upload lacks Go or AVT");
@@ -207,7 +289,10 @@ Result<ShardingPlan> BuildShardUploads(const UploadPackage& package,
   return plan;
 }
 
-/// Coordinator-side plan memo, same shape as CloudServer::PlanCache.
+/// The decomposition memo: ILP plans keyed by canonical Qo signature. The
+/// only mutable state of a hosted cluster, guarded by `mu` so Serve stays
+/// const and thread-safe. Heap-allocated because std::mutex pins the
+/// address and CloudCluster is moved out of Host().
 struct CloudCluster::PlanCache {
   explicit PlanCache(size_t capacity) : plans(capacity) {}
 
@@ -233,12 +318,25 @@ Result<CloudCluster> CloudCluster::Host(UploadPackage package,
                                         const ClusterConfig& config,
                                         const ShardConfig& shard_config,
                                         const ChannelConfig& channel_config) {
-  const uint32_t num_shards = std::max<uint32_t>(config.num_shards, 1);
+  if (config.num_shards > 1) {
+    PPSM_ASSIGN_OR_RETURN(
+        ShardingPlan plan,
+        BuildShardUploads(package, config.num_shards, config.partition_seed));
+    return HostShards(std::move(plan.shards), config, shard_config,
+                      channel_config);
+  }
+  // One shard hosts the upload itself — no re-slicing. Go already is the
+  // one slice BuildShardUploads would cut: it holds exactly the vertices
+  // within `hops` of B1 and the edges within hops - 1 of B1. The baseline's
+  // slice is all of Gk under the identity AVT.
+  CloudCluster cluster;
   PPSM_ASSIGN_OR_RETURN(
-      ShardingPlan plan,
-      BuildShardUploads(package, num_shards, config.partition_seed));
-  return HostShards(std::move(plan.shards), config, shard_config,
-                    channel_config);
+      CloudServer server,
+      CloudServer::Host(std::move(package),
+                        ToCloudConfig(shard_config, config)));
+  cluster.shards_.push_back(std::move(server));
+  PPSM_RETURN_IF_ERROR(cluster.Init(config, shard_config, channel_config));
+  return cluster;
 }
 
 Result<CloudCluster> CloudCluster::HostShards(
@@ -248,6 +346,8 @@ Result<CloudCluster> CloudCluster::HostShards(
     return Status::InvalidArgument("cluster needs at least one shard");
   }
   const uint32_t num_shards = static_cast<uint32_t>(shard_uploads.size());
+  const uint64_t global_vertices = shard_uploads[0].global_vertices;
+  const uint64_t global_b1 = shard_uploads[0].global_b1;
   for (uint32_t s = 0; s < num_shards; ++s) {
     const ShardUpload& upload = shard_uploads[s];
     if (upload.shard != s || upload.num_shards != num_shards) {
@@ -257,8 +357,8 @@ Result<CloudCluster> CloudCluster::HostShards(
         !upload.package.avt.has_value()) {
       return Status::InvalidArgument("shard upload is not a slice package");
     }
-    if (upload.global_vertices != shard_uploads[0].global_vertices ||
-        upload.global_b1 != shard_uploads[0].global_b1 ||
+    if (upload.global_vertices != global_vertices ||
+        upload.global_b1 != global_b1 ||
         upload.package.k != shard_uploads[0].package.k) {
       return Status::InvalidArgument("shard uploads disagree on the graph");
     }
@@ -268,29 +368,16 @@ Result<CloudCluster> CloudCluster::HostShards(
     }
   }
 
-  CloudCluster cluster;
-  cluster.config_ = config;
-  cluster.shard_config_ = shard_config;
-  cluster.config_.num_shards = num_shards;
-  if (cluster.config_.max_inflight == 0) cluster.config_.max_inflight = 1;
-  cluster.global_vertices_ = shard_uploads[0].global_vertices;
-  cluster.global_b1_ = shard_uploads[0].global_b1;
-  cluster.avt_ = *shard_uploads[0].package.avt;
-  cluster.stats_ = shard_uploads[0].stats;
-  if (shard_config.plan_cache_entries > 0) {
-    cluster.plan_cache_ =
-        std::make_unique<PlanCache>(shard_config.plan_cache_entries);
-  }
-
   // Reassemble the global id maps from the slices, validating that halo
   // overlaps agree and that ownership covers every B1 vertex exactly once.
-  cluster.to_gk_.assign(cluster.global_vertices_, kInvalidVertex);
-  cluster.go_degree_.assign(cluster.global_b1_, SIZE_MAX);
+  CloudCluster cluster;
+  cluster.to_gk_.assign(global_vertices, kInvalidVertex);
+  cluster.go_degree_.assign(global_b1, SIZE_MAX);
   for (const ShardUpload& upload : shard_uploads) {
     const OutsourcedGraph& slice = *upload.package.go;
     for (size_t l = 0; l < upload.to_global.size(); ++l) {
       const VertexId g = upload.to_global[l];
-      if (g >= cluster.global_vertices_) {
+      if (g >= global_vertices) {
         return Status::InvalidArgument("shard id map out of range");
       }
       if (cluster.to_gk_[g] != kInvalidVertex &&
@@ -299,7 +386,7 @@ Result<CloudCluster> CloudCluster::HostShards(
       }
       cluster.to_gk_[g] = slice.to_gk[l];
       if (upload.owned[l] != 0) {
-        if (g >= cluster.global_b1_) {
+        if (g >= global_b1) {
           return Status::InvalidArgument("owned vertex outside B1");
         }
         if (cluster.go_degree_[g] != SIZE_MAX) {
@@ -310,7 +397,7 @@ Result<CloudCluster> CloudCluster::HostShards(
       }
     }
   }
-  for (VertexId g = 0; g < cluster.global_b1_; ++g) {
+  for (VertexId g = 0; g < global_b1; ++g) {
     if (cluster.go_degree_[g] == SIZE_MAX) {
       return Status::InvalidArgument("B1 vertex owned by no shard");
     }
@@ -321,22 +408,41 @@ Result<CloudCluster> CloudCluster::HostShards(
   // cannot happen, as ownership covers B1) would be caught at query time.
 
   cluster.shards_.reserve(num_shards);
-  cluster.channels_.reserve(num_shards);
   cluster.to_global_.reserve(num_shards);
   cluster.owned_.reserve(num_shards);
   for (ShardUpload& upload : shard_uploads) {
     cluster.to_global_.push_back(std::move(upload.to_global));
     cluster.owned_.push_back(std::move(upload.owned));
-    PPSM_ASSIGN_OR_RETURN(SimulatedChannel channel,
-                          SimulatedChannel::Create(channel_config));
-    cluster.channels_.push_back(std::move(channel));
     PPSM_ASSIGN_OR_RETURN(
         CloudServer server,
-        CloudServer::HostSlice(std::move(upload.package), shard_config));
+        CloudServer::HostSlice(std::move(upload.package),
+                               std::move(upload.stats), shard_config));
     cluster.shards_.push_back(std::move(server));
   }
-  ClusterMetrics::Get().shards.Set(static_cast<double>(num_shards));
+  PPSM_RETURN_IF_ERROR(cluster.Init(config, shard_config, channel_config));
   return cluster;
+}
+
+Status CloudCluster::Init(const ClusterConfig& config,
+                          const ShardConfig& shard_config,
+                          const ChannelConfig& channel_config) {
+  config_ = config;
+  config_.num_shards = num_shards();
+  if (config_.max_inflight == 0) config_.max_inflight = 1;
+  shard_config_ = shard_config;
+  if (shard_config_.num_threads == 0) shard_config_.num_threads = 1;
+  if (shard_config.plan_cache_entries > 0) {
+    plan_cache_ = std::make_unique<PlanCache>(shard_config.plan_cache_entries);
+  }
+  channels_.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    PPSM_ASSIGN_OR_RETURN(SimulatedChannel channel,
+                          SimulatedChannel::Create(channel_config));
+    channels_.push_back(std::move(channel));
+  }
+  CloudMetrics::Get().plan_cache_entries.Set(0.0);
+  ClusterMetrics::Get().shards.Set(static_cast<double>(shards_.size()));
+  return Status::OK();
 }
 
 PlanCacheStats CloudCluster::plan_cache_stats() const {
@@ -358,8 +464,56 @@ size_t CloudCluster::ExchangedBytes() const {
   return total;
 }
 
+Result<UnitDecomposition> CloudCluster::Plan(const AttributedGraph& qo) const {
+  const CloudServer& first = shards_[0];
+  if (shards_.size() == 1) {
+    // The only shard owns every center under global ids: its own index and
+    // degrees are the global ones.
+    return DecomposeQueryUnits(qo, first.statistics(), first.data(),
+                               first.index(), first.EffectiveUnitDepth());
+  }
+  // Each shard shortlists its owned root candidates (their slice verdicts
+  // equal the global ones — an owned vertex's adjacency is complete in its
+  // slice); the coordinator merges the disjoint lists into ascending global
+  // order and evaluates the candidate-aware estimator itself, reproducing
+  // the unsharded cost sums bit for bit.
+  std::vector<QueryUnit> units =
+      EnumerateCandidateUnits(qo, first.EffectiveUnitDepth());
+  // Merged owned candidates (ascending global id) and their full Go
+  // degrees, once per query vertex — shared by every unit rooted there.
+  std::vector<std::vector<VertexId>> merged(qo.NumVertices());
+  std::vector<std::vector<size_t>> degrees(qo.NumVertices());
+  for (VertexId v = 0; v < qo.NumVertices(); ++v) {
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const std::vector<VertexId> local =
+          shards_[s].index().CandidateCenters(qo, v);
+      for (const VertexId l : local) {
+        if (owned_[s][l] != 0) merged[v].push_back(to_global_[s][l]);
+      }
+    }
+    std::sort(merged[v].begin(), merged[v].end());
+    degrees[v].reserve(merged[v].size());
+    for (const VertexId g : merged[v]) {
+      degrees[v].push_back(go_degree_[g]);
+    }
+  }
+  std::vector<double> costs;
+  costs.reserve(units.size());
+  for (const QueryUnit& unit : units) {
+    costs.push_back(EstimateUnitCardinalityForCandidates(
+        first.statistics(), qo, unit, merged[unit.root()],
+        degrees[unit.root()]));
+  }
+  return DecomposeQueryUnitsWithCosts(qo, std::move(units), std::move(costs));
+}
+
 Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
                                        const QueryContext& ctx) const {
+  // Per-query stats, filled as the phases run and published to ctx.stats on
+  // EVERY return path — failure included — via this scope guard. The
+  // Result<WireAnswer> cannot carry stats on an error, and the failed
+  // queries are exactly the ones the flight recorder needs full accounting
+  // for. A direct call (no admission) mints its own query id.
   CloudQueryStats stats;
   stats.query_id =
       ctx.query_id != 0 ? ctx.query_id : FlightRecorder::NextQueryId();
@@ -389,20 +543,18 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
     return Status::InvalidArgument("empty query");
   }
 
-  WireAnswer answer;
-  TraceSpan query_span(Tracer::Global(), "cluster.answer_query", "query");
+  TraceSpan query_span(Tracer::Global(), "cloud.answer_query", "query");
   query_span.AddArg("query_id", stats.query_id);
-  query_span.AddArg("num_shards", static_cast<uint64_t>(shards_.size()));
-  const ClusterMetrics& metrics = ClusterMetrics::Get();
+  const CloudMetrics& metrics = CloudMetrics::Get();
+  const bool sharded = shards_.size() > 1;
 
-  // Phase 1: GLOBAL decomposition on the coordinator, over generalized
-  // units (stars always; paths/trees up to the hosted hop radius). Each
-  // shard shortlists its owned root candidates (their slice verdicts equal
-  // the global ones — an owned vertex's adjacency is complete in its
-  // slice); the coordinator merges the disjoint lists into ascending global
-  // order and evaluates the candidate-aware estimator itself, reproducing
-  // the unsharded cost sums bit for bit. All shards then match the SAME
-  // units.
+  // Phase 1: cost-model query decomposition (exact ILP) over generalized
+  // units — stars always, paths/trees up to the depth the hosted radius
+  // supports — candidate-aware so hub-rooted units with astronomic match
+  // sets are avoided. At depth 1 this is the paper's §4.2.1 star
+  // decomposition, plan for plan. The plan is pure in (Qo, hosted graph,
+  // depth cap — fixed per cluster), so repeated workload shapes hit the
+  // plan cache and skip the solver entirely.
   WallTimer phase_timer;
   std::optional<UnitDecomposition> cached;
   std::string signature;
@@ -420,118 +572,93 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
   if (cached.has_value()) {
     decomposition = *std::move(cached);
     stats.plan_cache_hit = true;
+    metrics.plan_cache_hits.Increment();
   } else {
-    Result<UnitDecomposition> decomposition_or =
-        [&]() -> Result<UnitDecomposition> {
-      PPSM_TRACE_SPAN_CAT("cluster.decompose", "query");
-      std::vector<QueryUnit> units =
-          EnumerateCandidateUnits(qo, shards_[0].EffectiveUnitDepth());
-      // Merged owned candidates (ascending global id) and their full Go
-      // degrees, once per query vertex — shared by every unit rooted there.
-      std::vector<std::vector<VertexId>> merged(qo.NumVertices());
-      std::vector<std::vector<size_t>> degrees(qo.NumVertices());
-      for (VertexId v = 0; v < qo.NumVertices(); ++v) {
-        for (size_t s = 0; s < shards_.size(); ++s) {
-          const std::vector<VertexId> local =
-              shards_[s].index().CandidateCenters(qo, v);
-          for (const VertexId l : local) {
-            if (owned_[s][l] != 0) merged[v].push_back(to_global_[s][l]);
-          }
-        }
-        std::sort(merged[v].begin(), merged[v].end());
-        degrees[v].reserve(merged[v].size());
-        for (const VertexId g : merged[v]) {
-          degrees[v].push_back(go_degree_[g]);
-        }
-      }
-      std::vector<double> costs;
-      costs.reserve(units.size());
-      for (const QueryUnit& unit : units) {
-        costs.push_back(EstimateUnitCardinalityForCandidates(
-            stats_, qo, unit, merged[unit.root()], degrees[unit.root()]));
-      }
-      return DecomposeQueryUnitsWithCosts(qo, std::move(units),
-                                          std::move(costs));
+    Result<UnitDecomposition> decomposition_or = [&] {
+      PPSM_TRACE_SPAN_CAT("cloud.decompose", "query");
+      return Plan(qo);
     }();
     PPSM_ASSIGN_OR_RETURN(decomposition, std::move(decomposition_or));
     if (plan_cache_ != nullptr) {
+      metrics.plan_cache_misses.Increment();
       std::lock_guard<std::mutex> lock(plan_cache_->mu);
       plan_cache_->plans.Put(std::move(signature), decomposition);
+      metrics.plan_cache_entries.Set(
+          static_cast<double>(plan_cache_->plans.size()));
     }
   }
   stats.decomposition_ms = phase_timer.ElapsedMillis();
   stats.num_stars = decomposition.units.size();
+  metrics.decomposition_ms.Observe(stats.decomposition_ms);
+  metrics.stars.Increment(decomposition.units.size());
   if (has_deadline && SteadyClock::now() >= deadline) {
     return timeout("after decomposition");
   }
 
-  // Phase 2: shard-local unit matching. Every shard matches the same units
-  // over its slice, restricted to its owned candidate roots; rows come
-  // back in slice-local ids and are translated to global Go-local ids here
-  // (NOT to Gk yet — the merge must run in the monotone global id space;
-  // to_gk follows AVT row order and is not monotone).
+  // Phase 2: unit matching (Algorithm 1, generalized). Every shard matches
+  // the same units over its slice, restricted to its owned candidate
+  // roots. MatchUnits spreads the units across the pool workers and chunks
+  // each candidate-root loop, all bounded by the row cap so pathological
+  // queries fail with ResourceExhausted instead of exhausting the machine.
+  // An expired deadline cancels the remaining units and candidate chunks,
+  // so the query stops within one chunk of expiry.
   phase_timer.Restart();
-  std::vector<std::vector<UnitMatches>> shard_rows(shards_.size());
-  stats.shards.resize(shards_.size());
+  UnitMatchOptions unit_options;
+  unit_options.max_rows = kMaxRows;
+  unit_options.num_threads = shard_config_.num_threads;
+  unit_options.use_aux_graph = shard_config_.aux_graph;
+  unit_options.intersect_kernel = shard_config_.intersect_kernel;
   // Aggregated across shards: each shard builds its own slice-local aux
   // graph, so build time and footprint sum, as do the kernel counters.
   MatchPhaseStats phase_stats;
-  // The wire codec ships rows/columns only, so the skipped flag (like the
-  // unit kind below) must be captured before the exchange. A unit is
-  // reported skipped when every shard skipped it — a shard that ran it
-  // contributes real rows to the merge.
-  std::vector<uint8_t> unit_skipped(decomposition.units.size(), 1);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    WallTimer shard_timer;
-    UnitMatchOptions star_options;
-    star_options.max_rows = kMaxRows;
-    star_options.num_threads = shard_config_.num_threads;
-    star_options.use_aux_graph = shard_config_.aux_graph;
-    star_options.intersect_kernel = shard_config_.intersect_kernel;
-    star_options.phase_stats = &phase_stats;
-    if (has_deadline) {
-      star_options.cancelled = [deadline] {
-        return SteadyClock::now() >= deadline;
-      };
-    }
-    const std::vector<uint8_t>& owned = owned_[s];
-    star_options.candidate_filter = [&owned](VertexId v) {
-      return owned[v] != 0;
+  unit_options.phase_stats = &phase_stats;
+  if (has_deadline) {
+    unit_options.cancelled = [deadline] {
+      return SteadyClock::now() >= deadline;
     };
-    shard_rows[s] = [&] {
-      TraceSpan span(Tracer::Global(), "cluster.shard_match", "query");
-      span.AddArg("query_id", stats.query_id);
-      span.AddArg("shard", static_cast<uint64_t>(s));
-      return MatchUnits(shards_[s].data(), shards_[s].index(), qo,
-                        decomposition.units, star_options);
-    }();
-    const std::vector<VertexId>& to_global = to_global_[s];
-    ShardProfile& profile = stats.shards[s];
-    profile.shard = static_cast<uint32_t>(s);
-    for (UnitMatches& star : shard_rows[s]) {
-      MatchSet translated(star.matches.arity());
-      translated.ReserveAdditional(star.matches.NumMatches());
-      std::vector<VertexId> row(star.matches.arity());
-      for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
-        const auto local = star.matches.Get(r);
-        for (size_t i = 0; i < local.size(); ++i) {
-          row[i] = to_global[local[i]];
-        }
-        translated.Append(row);
-      }
-      star.matches = std::move(translated);
-      profile.candidates += star.num_candidates;
-      profile.rows += star.matches.NumMatches();
-    }
-    for (size_t i = 0;
-         i < shard_rows[s].size() && i < unit_skipped.size(); ++i) {
-      if (!shard_rows[s][i].skipped) unit_skipped[i] = 0;
-    }
-    profile.match_ms = shard_timer.ElapsedMillis();
-    metrics.shard_rows.Observe(static_cast<double>(profile.rows));
   }
-  if (has_deadline && SteadyClock::now() >= deadline) {
-    return timeout("during star matching");
+  std::vector<std::vector<UnitMatches>> shard_rows(shards_.size());
+  // The wire codec ships rows/columns only, so the skipped flag (like the
+  // unit kind below) is captured before the exchange. A unit is reported
+  // skipped when every shard skipped it — a shard that ran it contributes
+  // real rows to the merge.
+  std::vector<uint8_t> unit_skipped(decomposition.units.size(), 1);
+  if (sharded) stats.shards.resize(shards_.size());
+  {
+    TraceSpan span(Tracer::Global(), "cloud.star_match", "query");
+    span.AddArg("query_id", stats.query_id);
+    span.AddArg("num_stars",
+                static_cast<uint64_t>(decomposition.units.size()));
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      WallTimer shard_timer;
+      if (sharded) {
+        const std::vector<uint8_t>& owned = owned_[s];
+        unit_options.candidate_filter = [&owned](VertexId v) {
+          return owned[v] != 0;
+        };
+      }
+      shard_rows[s] = MatchUnits(shards_[s].data(), shards_[s].index(), qo,
+                                 decomposition.units, unit_options);
+      for (size_t i = 0;
+           i < shard_rows[s].size() && i < unit_skipped.size(); ++i) {
+        if (!shard_rows[s][i].skipped) unit_skipped[i] = 0;
+      }
+      // The only shard's rows go straight to Gk ids. Shard rows go to
+      // global Go-local ids instead — the monotone id space the merge
+      // interleaves in (to_gk follows AVT row order and is not monotone).
+      TranslateRows(shard_rows[s],
+                    sharded ? to_global_[s] : shards_[0].to_gk());
+      if (!sharded) continue;
+      ShardProfile& profile = stats.shards[s];
+      profile.shard = static_cast<uint32_t>(s);
+      for (const UnitMatches& unit : shard_rows[s]) {
+        profile.candidates += unit.num_candidates;
+        profile.rows += unit.matches.NumMatches();
+      }
+      profile.match_ms = shard_timer.ElapsedMillis();
+      ClusterMetrics::Get().shard_rows.Observe(
+          static_cast<double>(profile.rows));
+    }
   }
 
   // Phase 2b: BSP exchange — every shard but the coordinator-colocated
@@ -549,31 +676,29 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
     PPSM_ASSIGN_OR_RETURN(shard_rows[s], std::move(shipped_or));
     stats.shards[s].exchange_ms = exchange.transfer_ms;
     stats.shards[s].exchanged_bytes = exchange.bytes;
-    metrics.exchanged_bytes.Increment(exchange.bytes);
-    metrics.exchange_ms.Observe(exchange.transfer_ms);
+    ClusterMetrics::Get().exchanged_bytes.Increment(exchange.bytes);
+    ClusterMetrics::Get().exchange_ms.Observe(exchange.transfer_ms);
   }
 
-  // Phase 2c: k-way merge back into the global enumeration order, then the
-  // merged-total row cap (the unsharded refusal boundary).
-  Result<std::vector<UnitMatches>> merged_or =
-      MergeShardStarMatches(shard_rows);
+  // Phase 2c: k-way merge back into the global enumeration order (the only
+  // shard's stream passes through), Gk ids for the join, and the
+  // merged-total row cap.
   PPSM_ASSIGN_OR_RETURN(std::vector<UnitMatches> stars,
-                        std::move(merged_or));
-  for (UnitMatches& star : stars) {
-    if (star.matches.NumMatches() > kMaxRows) star.truncated = true;
-  }
-
-  // The wire codec ships rows/columns only, so the unit kind is restored
-  // from the coordinator's plan (shards matched exactly these units).
-  for (size_t i = 0; i < stars.size() && i < decomposition.units.size();
-       ++i) {
-    stars[i].kind = decomposition.units[i].kind;
-  }
+                        MergeShardStarMatches(std::move(shard_rows)));
+  if (sharded) TranslateRows(stars, to_gk_);
+  // Per-unit profiles (the cost-model calibration inputs) are filled before
+  // any early return below so even a timed-out or truncated query reports
+  // what its units did. The unit kind comes from the plan: the exchange
+  // codec ships rows and columns only.
   const bool estimates_aligned =
       decomposition.estimates.size() == stars.size();
   stats.stars.reserve(stars.size());
   bool star_truncated = false;
   for (size_t i = 0; i < stars.size(); ++i) {
+    if (stars[i].matches.NumMatches() > kMaxRows) stars[i].truncated = true;
+    if (i < decomposition.units.size()) {
+      stars[i].kind = decomposition.units[i].kind;
+    }
     UnitProfile profile;
     profile.center = static_cast<uint32_t>(stars[i].center);
     profile.candidates = stars[i].num_candidates;
@@ -584,6 +709,7 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
     profile.skipped = i < unit_skipped.size() && unit_skipped[i] != 0;
     profile.kind = UnitKindName(stars[i].kind);
     star_truncated = star_truncated || stars[i].truncated;
+    stats.rs_size += profile.rows;
     stats.stars.push_back(profile);
   }
   stats.aux_build_ms = phase_stats.aux_build_ms;
@@ -594,23 +720,20 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
       phase_stats.intersect_galloping.load(std::memory_order_relaxed);
   stats.intersect_simd =
       phase_stats.intersect_simd.load(std::memory_order_relaxed);
-  // Translate the merged global rows to Gk ids for the join.
-  for (UnitMatches& star : stars) {
-    MatchSet translated(star.matches.arity());
-    translated.ReserveAdditional(star.matches.NumMatches());
-    std::vector<VertexId> row(star.matches.arity());
-    for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
-      const auto global = star.matches.Get(r);
-      for (size_t i = 0; i < global.size(); ++i) {
-        row[i] = to_gk_[global[i]];
-      }
-      translated.Append(row);
-    }
-    star.matches = std::move(translated);
-    stats.rs_size += star.matches.NumMatches();
-  }
   stats.star_matching_ms = phase_timer.ElapsedMillis();
+  if (has_deadline && SteadyClock::now() >= deadline) {
+    return timeout("during star matching");
+  }
+  for (const UnitProfile& profile : stats.stars) {
+    metrics.star_rows.Observe(static_cast<double>(profile.rows));
+  }
+  metrics.star_matching_ms.Observe(stats.star_matching_ms);
+  metrics.rs_rows.Increment(stats.rs_size);
   if (star_truncated) {
+    // Row cap fired during unit matching (the deadline case returned
+    // above): the match sets are incomplete, so exact answering is off the
+    // table. Same status the join would produce, but with the overflow
+    // attributed to the phase that caused it.
     stats.overflowed = true;
     stats.total_ms = total_timer.ElapsedMillis();
     return Status::ResourceExhausted(
@@ -620,35 +743,53 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
     return timeout("before join");
   }
 
-  // Phase 3: the coordinator's result join, identical to the unsharded one.
+  // Phase 3: result join (Algorithm 2) -> Rin (or R(Qo,Gk) for BAS).
+  // Probe-side partitioning across the same worker budget, each partition
+  // polling the deadline; the cost-model estimates from the decomposition
+  // order the join steps.
   phase_timer.Restart();
   JoinOptions join_options;
   join_options.max_rows = kMaxRows;
   join_options.num_threads = shard_config_.num_threads;
   join_options.star_cost_estimates = decomposition.estimates;
+  join_options.cancelled = unit_options.cancelled;
   JoinDiagnostics join_diag;
   Result<MatchSet> rin_or = [&] {
-    TraceSpan span(Tracer::Global(), "cluster.join", "query");
+    TraceSpan span(Tracer::Global(), "cloud.join", "query");
     span.AddArg("query_id", stats.query_id);
     span.AddArg("rs_size", static_cast<uint64_t>(stats.rs_size));
-    return JoinUnitMatches(stars, avt_, qo.NumVertices(), join_options,
-                           &join_diag);
+    return JoinUnitMatches(stars, shards_[0].avt(), qo.NumVertices(),
+                           join_options, &join_diag);
   }();
   stats.join_ms = phase_timer.ElapsedMillis();
   stats.join_steps = std::move(join_diag.steps);
   stats.peak_join_rows = join_diag.peak_rows;
+  for (const JoinStepProfile& step : stats.join_steps) {
+    if (step.estimated_rows > 0.0 && !step.overflow) {
+      metrics.join_estimate_ratio.Observe(
+          (step.estimated_rows + 1.0) /
+          (static_cast<double>(step.output_rows) + 1.0));
+    }
+  }
   if (!rin_or.ok()) {
+    if (rin_or.status().code() == StatusCode::kDeadlineExceeded) {
+      return timeout("during join");
+    }
     if (rin_or.status().code() == StatusCode::kResourceExhausted) {
-      stats.overflowed = true;
+      stats.overflowed = true;  // A join step hit the row cap.
     }
     stats.total_ms = total_timer.ElapsedMillis();
     return rin_or.status();
   }
   const MatchSet rin = std::move(rin_or).value();
+  metrics.join_ms.Observe(stats.join_ms);
 
+  WireAnswer answer;
   stats.result_rows = rin.NumMatches();
   answer.response_payload = rin.Serialize();
   stats.total_ms = total_timer.ElapsedMillis();
+  metrics.result_rows.Increment(stats.result_rows);
+  metrics.query_ms.Observe(stats.total_ms);
   metrics.queries.Increment();
   query_span.AddArg("result_rows",
                     static_cast<uint64_t>(stats.result_rows));

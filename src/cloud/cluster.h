@@ -9,10 +9,20 @@
 #include "cloud/channel.h"
 #include "cloud/cloud_server.h"
 #include "cloud/messages.h"
+#include "match/decomposition.h"
 #include "query/query_api.h"
 #include "util/status.h"
 
 namespace ppsm {
+
+/// Point-in-time accounting of a cluster coordinator's plan cache (the
+/// global ppsm_cloud_plan_cache_* metrics aggregate across clusters).
+struct PlanCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  size_t entries = 0;
+  size_t capacity = 0;
+};
 
 /// Splits an optimized upload into `num_shards` slice uploads. The B1 block
 /// is partitioned with the multilevel partitioner (deterministic in `seed`);
@@ -28,31 +38,37 @@ namespace ppsm {
 Result<ShardingPlan> BuildShardUploads(const UploadPackage& package,
                                        uint32_t num_shards, uint64_t seed);
 
-/// A single-process sharded cloud: S CloudServer shards, each hosting the
-/// partitioner-assigned slice of Go, fronted by a coordinator that plans
-/// globally and merges shard answers. One query runs as a BSP superstep:
+/// The cloud's one query path (paper §4.2.1): S CloudServer shards, each
+/// hosting a slice of the upload, fronted by a coordinator that plans
+/// globally and joins the shards' unit matches into Rin. One query runs as
+/// a BSP superstep:
 ///
-///   plan (coordinator, global)  ->  match (each shard, its owned centers)
-///   ->  exchange (shards ship un-expanded R(S,Go) rows over simulated
-///   links)  ->  merge + probe join (coordinator)
+///   plan (coordinator, global, plan-cached)  ->  match (each shard, its
+///   owned centers)  ->  exchange (shards ship un-expanded R(S,Go) rows over
+///   simulated links)  ->  merge + probe join (coordinator)
 ///
-/// Results are BYTE-IDENTICAL to the unsharded CloudServer at any shard
-/// count: candidate sets, cost-model sums (same floating-point order),
-/// decomposition, row enumeration order and the join all reproduce the
-/// single-server execution exactly (DESIGN.md §13 gives the argument).
-/// Because the exchange ships un-expanded rows, its byte volume is
-/// independent of the privacy parameter k.
+/// At one shard the slice is the whole upload — Go, or all of Gk under the
+/// identity AVT for the BAS baseline — so ids map by identity, every center
+/// is owned and nothing is exchanged. At any shard count the reply is
+/// BYTE-IDENTICAL to the plain §4.2.1 pipeline (DecomposeQueryUnits ->
+/// MatchUnits -> to_gk -> JoinUnitMatches over the whole upload): candidate
+/// sets, cost-model sums (same floating-point order), decomposition, row
+/// enumeration order and the join all reproduce it exactly (DESIGN.md §13
+/// gives the argument). Because the exchange ships un-expanded rows, its
+/// byte volume is independent of the privacy parameter k.
 ///
-/// Thread-safety: like CloudServer — immutable after hosting except the
-/// plan cache behind its own mutex; Serve is const and concurrency-safe.
+/// Thread-safety: immutable after hosting except the plan cache behind its
+/// own mutex; Serve is const and any number of threads may call it.
 class CloudCluster : public QueryHandler {
  public:
   ~CloudCluster() override;
   CloudCluster(CloudCluster&&) noexcept;
   CloudCluster& operator=(CloudCluster&&) noexcept;
 
-  /// Builds the sharding plan from a serialized/in-memory upload and hosts
-  /// every shard (config.num_shards slices, partition_seed-deterministic).
+  /// Hosts a serialized/in-memory upload on config.num_shards shards. At
+  /// one shard (0 clamps to 1) the upload itself is the only slice, the
+  /// baseline's included; at two or more BuildShardUploads slices it
+  /// (partition_seed-deterministic) and the baseline is refused.
   static Result<CloudCluster> Host(std::span<const uint8_t> package_bytes,
                                    const ClusterConfig& config,
                                    const ShardConfig& shard_config = {},
@@ -63,15 +79,16 @@ class CloudCluster : public QueryHandler {
                                    const ChannelConfig& channel_config = {});
   /// Hosts pre-built shard uploads (the snapshot-reload path): validates
   /// cross-shard consistency, rebuilds the global id maps and hosts one
-  /// CloudServer per slice.
+  /// CloudServer per slice, with the global statistics the uploads carry.
   static Result<CloudCluster> HostShards(
       std::vector<ShardUpload> shard_uploads, const ClusterConfig& config,
       const ShardConfig& shard_config = {},
       const ChannelConfig& channel_config = {});
 
-  /// The one query entry point (QueryHandler). Same contract as
-  /// CloudServer::Serve; stats additionally carry one ShardProfile per
-  /// shard.
+  /// The one query entry point (QueryHandler): evaluates a serialized Qo
+  /// under the given context. ctx.stats, when set, is filled on every
+  /// return path — failure included. Sharded deployments additionally
+  /// report one ShardProfile per shard.
   Result<WireAnswer> Serve(std::span<const uint8_t> qo_bytes,
                            const QueryContext& ctx = {}) const override;
   ServiceLimits limits() const override {
@@ -81,21 +98,29 @@ class CloudCluster : public QueryHandler {
   uint32_t num_shards() const {
     return static_cast<uint32_t>(shards_.size());
   }
-  /// The hosted shard servers (tests; PpsmSystem::cloud() reports shard 0).
+  /// The hosted shard servers (PpsmSystem::cloud() reports shard 0).
   const CloudServer& shard(size_t i) const { return shards_[i]; }
   const ClusterConfig& config() const { return config_; }
-  uint32_t k() const { return avt_.k(); }
-  const GkStatistics& statistics() const { return stats_; }
-  /// Aggregated hit/miss counters of the coordinator's plan cache.
+  uint32_t k() const { return shards_[0].k(); }
+  /// The global statistics every plan reads (identical on every shard).
+  const GkStatistics& statistics() const { return shards_[0].statistics(); }
+  /// Hit/miss/occupancy counters of the coordinator's plan cache.
   PlanCacheStats plan_cache_stats() const;
   /// Total bytes shipped shard -> coordinator since hosting (the exchange
   /// links' byte meters; shard 0 is the coordinator and ships nothing).
   size_t ExchangedBytes() const;
 
  private:
-  struct PlanCache;  // Mutex + LRU, same shape as CloudServer's.
+  struct PlanCache;  // Mutex + LRU, behind a pointer so the cluster moves.
 
   CloudCluster() = default;
+
+  /// Shared tail of Host/HostShards, once shards_ is populated: settles the
+  /// configs and creates the plan cache and exchange links.
+  Status Init(const ClusterConfig& config, const ShardConfig& shard_config,
+              const ChannelConfig& channel_config);
+  /// Phase 1 of Serve: the global cost-model decomposition of `qo`.
+  Result<UnitDecomposition> Plan(const AttributedGraph& qo) const;
 
   ClusterConfig config_;
   ShardConfig shard_config_;
@@ -103,20 +128,18 @@ class CloudCluster : public QueryHandler {
   /// Exchange link of each shard; entry 0 exists but is never charged (the
   /// coordinator is colocated with shard 0).
   std::vector<SimulatedChannel> channels_;
+  // The id maps below are read only when sharded; at one shard the slice is
+  // the whole upload, its ids are global and every center is owned.
   /// Per shard: slice-local id -> global Go-local id (ascending).
   std::vector<std::vector<VertexId>> to_global_;
   /// Per shard: owned[l] != 0 iff slice-local l is an owned B1 vertex.
   std::vector<std::vector<uint8_t>> owned_;
-  /// Full Gk degree of every global B1 vertex (owned-slice degrees are
+  /// Full Go degree of every global B1 vertex (owned-slice degrees are
   /// complete, so these equal the unsharded Go degrees) — the cost model's
   /// per-candidate input.
   std::vector<size_t> go_degree_;
   /// Global Go-local id -> Gk id (the unsharded to_gk, reassembled).
   std::vector<VertexId> to_gk_;
-  Avt avt_;             // Full table (identical on every shard).
-  GkStatistics stats_;  // Global statistics (identical on every shard).
-  uint64_t global_vertices_ = 0;
-  uint64_t global_b1_ = 0;
   std::unique_ptr<PlanCache> plan_cache_;
 };
 

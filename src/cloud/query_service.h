@@ -52,8 +52,8 @@ class AdmissionGate {
   size_t waiting_ = 0;
 };
 
-/// Concurrent front door of one query handler (a single CloudServer or a
-/// sharded CloudCluster — the service does not care which): admits up to
+/// Concurrent front door of one query handler (a CloudCluster, or anything
+/// else implementing QueryHandler — the service does not care): admits up to
 /// limits().max_inflight simultaneous Serve evaluations, queues up to
 /// 2 * max_inflight more, refuses the rest (ResourceExhausted), and charges
 /// queue wait against the per-query deadline (limits().query_deadline_ms).

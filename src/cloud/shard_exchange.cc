@@ -1,6 +1,7 @@
 #include "cloud/shard_exchange.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace ppsm {
 
@@ -17,10 +18,11 @@ Result<std::vector<UnitMatches>> ShipStarRows(
 }
 
 Result<std::vector<UnitMatches>> MergeShardStarMatches(
-    const std::vector<std::vector<UnitMatches>>& shard_rows) {
+    std::vector<std::vector<UnitMatches>> shard_rows) {
   if (shard_rows.empty()) {
     return Status::InvalidArgument("merge needs at least one shard stream");
   }
+  if (shard_rows.size() == 1) return std::move(shard_rows.front());
   const size_t num_stars = shard_rows.front().size();
   for (const std::vector<UnitMatches>& rows : shard_rows) {
     if (rows.size() != num_stars) {

@@ -41,9 +41,11 @@ Result<std::vector<UnitMatches>> ShipStarRows(
 /// column 0 reproduces the global enumeration order exactly.
 /// `num_candidates` sums and `truncated` ORs across shards; a truncated
 /// input skips the row merge for that star (the caller refuses the query
-/// anyway, matching the unsharded ResourceExhausted boundary).
+/// anyway, matching the unsharded ResourceExhausted boundary). A single
+/// stream is already in global order and passes through untouched, in any
+/// id space.
 Result<std::vector<UnitMatches>> MergeShardStarMatches(
-    const std::vector<std::vector<UnitMatches>>& shard_rows);
+    std::vector<std::vector<UnitMatches>> shard_rows);
 
 }  // namespace ppsm
 

@@ -18,7 +18,7 @@ namespace {
 
 /// End-to-end metrics (the paper Fig. 22 decomposition: cloud + network +
 /// client). Cloud-internal and client-internal phases record their own
-/// metrics in cloud_server.cc / data_owner.cc.
+/// metrics in cluster.cc / data_owner.cc.
 struct SystemMetrics {
   MetricsRegistry::Counter queries;
   MetricsRegistry::Counter queries_failed;
@@ -115,12 +115,7 @@ Result<PpsmSystem> PpsmSystem::HostFromOwner(std::unique_ptr<DataOwner> owner,
       system.owner_->upload_bytes().size(), "upload");
   SystemMetrics::Get().upload_ms.Set(system.upload_ms_);
 
-  if (config.num_shards > 1) {
-    if (system.owner_->IsBaselineUpload()) {
-      return Status::InvalidArgument(
-          "sharded hosting needs the outsourced upload; the BAS baseline "
-          "ships all of Gk and has no partitionable B1 block");
-    }
+  {
     PPSM_TRACE_SPAN_CAT("setup.cloud_host", "setup");
     ClusterConfig cluster_config = ToClusterConfig(config.cloud);
     cluster_config.num_shards = config.num_shards;
@@ -129,19 +124,8 @@ Result<PpsmSystem> PpsmSystem::HostFromOwner(std::unique_ptr<DataOwner> owner,
         CloudCluster::Host(system.owner_->upload_bytes(), cluster_config,
                            ToShardConfig(config.cloud), config.channel));
     system.cluster_ = std::make_unique<CloudCluster>(std::move(cluster));
-    system.service_ = std::make_unique<QueryService>(system.cluster_.get());
-    return system;
   }
-
-  {
-    PPSM_TRACE_SPAN_CAT("setup.cloud_host", "setup");
-    PPSM_ASSIGN_OR_RETURN(
-        CloudServer cloud,
-        CloudServer::Host(system.owner_->upload_bytes(), config.cloud));
-    system.cloud_ = std::make_unique<CloudServer>(std::move(cloud));
-  }
-  system.service_ = std::make_unique<QueryService>(
-      static_cast<const QueryHandler*>(system.cloud_.get()));
+  system.service_ = std::make_unique<QueryService>(system.cluster_.get());
   return system;
 }
 
@@ -248,7 +232,7 @@ BatchResult PpsmSystem::ExecuteBatch(std::span<const QueryRequest> requests,
   BatchResult batch;
   batch.summary.queries = requests.size();
   if (requests.empty()) {
-    batch.summary.plan_cache = CloudPlanCacheStats();
+    batch.summary.plan_cache = cluster_->plan_cache_stats();
     return batch;
   }
   // Cap at the admission bound: pushing more workers than the gate admits
@@ -289,7 +273,7 @@ BatchResult PpsmSystem::ExecuteBatch(std::span<const QueryRequest> requests,
     batch.summary.p50_ms = latencies.Percentile(50.0);
     batch.summary.p95_ms = latencies.Percentile(95.0);
   }
-  batch.summary.plan_cache = CloudPlanCacheStats();
+  batch.summary.plan_cache = cluster_->plan_cache_stats();
   return batch;
 }
 

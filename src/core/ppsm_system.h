@@ -35,13 +35,14 @@ struct SystemConfig {
   size_t theta = 2;
   ChannelConfig channel;
   uint64_t seed = 13;
-  /// Serving-side knobs: star-matching threads, plan cache, admission bound,
-  /// per-query deadline. Fixed at Setup (the hosted server is immutable).
+  /// Serving-side knobs: unit-matching threads, plan cache, admission bound,
+  /// per-query deadline. Fixed at Setup (the hosted cloud is immutable).
   CloudConfig cloud;
-  /// Cloud shard count. 1 hosts the classic single CloudServer; >1 hosts a
-  /// CloudCluster of that many slice servers (byte-identical results at any
-  /// value — DESIGN.md §13). Requires an outsourced upload: the BAS method
-  /// is rejected when sharded.
+  /// Shard count of the hosted CloudCluster. 1 hosts the whole upload as
+  /// its only slice — every method, BAS included; >1 slices Go across that
+  /// many shard servers (byte-identical results at any value — DESIGN.md
+  /// §13) and rejects the BAS method, whose upload has no B1 block to
+  /// partition.
   uint32_t num_shards = 1;
   /// Forwarded to the k-automorphism builder (alignment strategy etc.).
   KAutomorphismOptions kauto;
@@ -70,9 +71,8 @@ struct BatchSummary {
   double queries_per_second = 0.0;
   double p50_ms = 0.0;  // Per-query wall latency, successful queries.
   double p95_ms = 0.0;
-  /// Plan-cache counters of the hosted cloud after the batch (cumulative
-  /// over its lifetime, not just this batch; the coordinator cache when
-  /// sharded).
+  /// Plan-cache counters of the cluster coordinator after the batch
+  /// (cumulative over its lifetime, not just this batch).
   PlanCacheStats plan_cache;
 };
 
@@ -83,9 +83,8 @@ struct BatchResult {
   BatchSummary summary;
 };
 
-/// Facade wiring a DataOwner, a SimulatedChannel and a cloud (one
-/// CloudServer, or a CloudCluster when config.num_shards > 1) into the
-/// paper's full workflow: Setup() runs the offline pipeline and "uploads"
+/// Facade wiring a DataOwner, a SimulatedChannel and a CloudCluster of
+/// config.num_shards shards into the paper's full workflow: Setup() runs the offline pipeline and "uploads"
 /// (serializing through the channel); Execute() anonymizes the pattern,
 /// ships Qo, runs the cloud evaluation, ships the response, and
 /// post-processes to exact answers.
@@ -138,12 +137,11 @@ class PpsmSystem {
 
   const SetupStats& setup_stats() const { return owner_->setup_stats(); }
   const DataOwner& owner() const { return *owner_; }
-  /// The hosted server (shard 0 of the cluster when sharded).
-  const CloudServer& cloud() const {
-    return cluster_ ? cluster_->shard(0) : *cloud_;
-  }
-  /// The hosted cluster; null on the single-server path.
-  const CloudCluster* cluster() const { return cluster_.get(); }
+  /// The hosted server: the whole upload at one shard, shard 0's slice
+  /// when sharded.
+  const CloudServer& cloud() const { return cluster_->shard(0); }
+  /// The hosted cluster, at every shard count and for every method.
+  const CloudCluster& cluster() const { return *cluster_; }
   const QueryService& service() const { return *service_; }
   const SimulatedChannel& channel() const { return channel_; }
   const SystemConfig& config() const { return config_; }
@@ -154,8 +152,7 @@ class PpsmSystem {
   PpsmSystem() = default;
 
   /// Shared tail of Setup/LoadSnapshot: charges the upload transfer, hosts
-  /// the cloud (server or cluster) from the owner's upload bytes, and wires
-  /// the service.
+  /// the cluster from the owner's upload bytes, and wires the service.
   static Result<PpsmSystem> HostFromOwner(std::unique_ptr<DataOwner> owner,
                                           const SystemConfig& config);
 
@@ -163,16 +160,9 @@ class PpsmSystem {
   /// refused and errored queries stay visible in the metrics.
   QueryResponse ExecuteImpl(const QueryRequest& request) const;
 
-  /// The cumulative plan-cache counters of whichever cloud is hosted.
-  PlanCacheStats CloudPlanCacheStats() const {
-    return cluster_ ? cluster_->plan_cache_stats()
-                    : cloud_->plan_cache_stats();
-  }
-
   SystemConfig config_;
   std::unique_ptr<DataOwner> owner_;
-  std::unique_ptr<CloudServer> cloud_;    // Single-server path.
-  std::unique_ptr<CloudCluster> cluster_;  // Sharded path (num_shards > 1).
+  std::unique_ptr<CloudCluster> cluster_;
   std::unique_ptr<QueryService> service_;
   SimulatedChannel channel_;
   double upload_ms_ = 0.0;

@@ -38,7 +38,7 @@ Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
                                               uint32_t max_depth);
 
 /// Decomposition with candidate-aware unit estimates evaluated against the
-/// hosted graph and its index — the unsharded cloud server's planner. On
+/// hosted graph and its index — the planner of a one-shard cluster. On
 /// power-law graphs it reliably steers the cover away from hub-rooted units
 /// whose materialized match sets would be astronomically large.
 Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
@@ -69,7 +69,7 @@ bool IsValidUnitDecomposition(const AttributedGraph& qo,
 /// sets, label(-group) sets and adjacency — exactly the inputs
 /// DecomposeQueryUnits reads from `qo` (the remaining inputs, statistics,
 /// the hosted index and the depth cap, are fixed for the lifetime of a
-/// CloudServer), so equal signatures imply equal decompositions and the ILP
+/// CloudCluster), so equal signatures imply equal decompositions and the ILP
 /// solve can be skipped. The encoding is a compact byte string: |V|, then
 /// per vertex its sorted types, labels and neighbors, each length-prefixed;
 /// every field is serialized little-endian-u32 so the signature is

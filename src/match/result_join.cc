@@ -21,6 +21,9 @@ struct Intermediate {
   MatchSet rows;
 };
 
+/// How a JoinStep ended: with its full output, or abandoned.
+enum class StepEnd { kComplete, kOverflow, kCancelled };
+
 uint64_t KeyOf(std::span<const VertexId> row,
                const std::vector<size_t>& positions) {
   uint64_t key = 0x9ae16a3b2f90404fULL;
@@ -49,16 +52,18 @@ uint64_t KeyOfValues(std::span<const VertexId> values) {
 /// options.num_threads workers; each chunk appends into its own buffer and
 /// the buffers concatenate in chunk order, so the output row order — and
 /// therefore the result — is independent of the thread count. All chunks
-/// share one atomic row budget; exceeding options.max_rows (non-zero) sets
-/// *overflow after folding the partial row counts into `diagnostics`.
-/// `step` (nullable, like `diagnostics`) receives this invocation's own
-/// build/output/drop counts; the caller stamps the unit identity on it.
+/// share one atomic row budget; exceeding options.max_rows (non-zero) ends
+/// the step with kOverflow after folding the partial row counts into
+/// `diagnostics`. Each chunk polls options.cancelled before it probes; a
+/// true poll ends the step with kCancelled. `step` (nullable, like
+/// `diagnostics`) receives this invocation's own build/output/drop counts;
+/// the caller stamps the unit identity on it.
 Intermediate JoinStep(const Intermediate& current,
                       const std::vector<VertexId>& unit_columns,
                       const MatchSet& unit_rows, const Avt& avt,
                       const JoinOptions& options,
                       JoinDiagnostics* diagnostics, JoinStepProfile* step,
-                      bool* overflow) {
+                      StepEnd* end) {
   const uint32_t probe_k = std::max<uint32_t>(avt.k(), 1);
   // Column bookkeeping: positions of shared columns on both sides, and the
   // unit columns that are new.
@@ -152,9 +157,17 @@ Intermediate JoinStep(const Intermediate& current,
   std::vector<size_t> chunk_drops(chunks.size(), 0);
   std::atomic<size_t> budget{0};
   std::atomic<bool> overflowed{false};
+  std::atomic<bool> cancelled{false};
 
   ParallelFor(options.num_threads, chunks.size(), [&](size_t c) {
-    if (overflowed.load(std::memory_order_relaxed)) return;
+    if (overflowed.load(std::memory_order_relaxed) ||
+        cancelled.load(std::memory_order_relaxed)) {
+      return;
+    }
+    if (options.cancelled && options.cancelled()) {
+      cancelled.store(true, std::memory_order_relaxed);
+      return;
+    }
     MatchSet& out = chunk_rows[c];
     std::vector<VertexId> probe(shared_unit.size());
     std::vector<VertexId> combined(next.columns.size());
@@ -238,7 +251,11 @@ Intermediate JoinStep(const Intermediate& current,
   }
   if (overflowed.load(std::memory_order_relaxed)) {
     if (step != nullptr) step->overflow = true;
-    *overflow = true;
+    *end = StepEnd::kOverflow;
+    return next;
+  }
+  if (cancelled.load(std::memory_order_relaxed)) {
+    *end = StepEnd::kCancelled;
     return next;
   }
   next.rows.ReserveAdditional(total_rows);
@@ -355,13 +372,16 @@ Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& units,
     profile.star_center = static_cast<uint32_t>(units[next].center);
     profile.estimated_rows = use_estimates ? cost_of(next) : 0.0;
     profile.kind = UnitKindName(units[next].kind);
-    bool overflow = false;
+    StepEnd end = StepEnd::kComplete;
     current = JoinStep(current, units[next].columns, units[next].matches,
-                       avt, options, diagnostics, &profile, &overflow);
+                       avt, options, diagnostics, &profile, &end);
     if (diagnostics != nullptr) diagnostics->steps.push_back(profile);
-    if (overflow) {
+    if (end == StepEnd::kOverflow) {
       return Status::ResourceExhausted(
           "join intermediate exceeded the row cap");
+    }
+    if (end == StepEnd::kCancelled) {
+      return Status::DeadlineExceeded("join cancelled");
     }
     if (current.rows.NumMatches() == 0) {
       return MatchSet(num_query_vertices);  // Rin is empty.

@@ -1,6 +1,7 @@
 #ifndef PPSM_MATCH_RESULT_JOIN_H_
 #define PPSM_MATCH_RESULT_JOIN_H_
 
+#include <functional>
 #include <vector>
 
 #include "kauto/avt.h"
@@ -57,6 +58,11 @@ struct JoinOptions {
   /// empty falls back to actual match counts. The anchor is always chosen
   /// by actual count — that minimizes |Rin| exactly and for free.
   std::vector<double> star_cost_estimates;
+  /// Polled once per probe partition of every join step; returning true
+  /// abandons the join with DeadlineExceeded. The cloud wires its query
+  /// deadline here, as it does UnitMatchOptions::cancelled. Must be
+  /// thread-safe; empty = never.
+  std::function<bool()> cancelled;
 };
 
 /// Algorithm 2 (result join): combines per-unit match sets over Go into

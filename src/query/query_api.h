@@ -18,7 +18,7 @@ namespace ppsm {
 /// ---------------------------------------------------------------------------
 /// The unified query API. One request/response pair serves every entry point
 /// of the system — PpsmSystem (end-to-end), QueryService (admission +
-/// serving), CloudServer and CloudCluster (evaluation) and the CLI.
+/// serving), CloudCluster (evaluation) and the CLI.
 /// ---------------------------------------------------------------------------
 
 /// Per-request evaluation knobs (the request-scoped complement of the
@@ -51,8 +51,8 @@ struct QueryRequest {
 /// FAILED queries too via QueryContext::stats — a DeadlineExceeded reply
 /// still reports the phases that ran and where the clock expired.
 struct CloudQueryStats {
-  /// Stable id minted at admission (or by the server itself for direct
-  /// calls); never 0 on a reply. Joins the reply to span args and the
+  /// Stable id minted at admission by QueryService (or by CloudCluster::Serve
+  /// itself for direct calls); never 0 on a reply. Joins the reply to span args and the
   /// flight-recorder record.
   uint64_t query_id = 0;
   /// Admission-queue wait, as reported by the QueryService (0 for direct
@@ -91,8 +91,8 @@ struct CloudQueryStats {
   std::vector<StarProfile> stars;
   /// Per-join-step estimated-vs-actual trace (JoinDiagnostics::steps).
   std::vector<JoinStepProfile> join_steps;
-  /// Per-shard match/exchange accounting when the query ran on a
-  /// CloudCluster; empty on the single-server path.
+  /// Per-shard match/exchange accounting of a sharded CloudCluster; empty
+  /// at one shard, whose slice is the whole upload and exchanges nothing.
   std::vector<ShardProfile> shards;
 };
 
@@ -187,10 +187,11 @@ struct ServiceLimits {
   uint64_t query_deadline_ms = 0;
 };
 
-/// Anything that can evaluate a serialized Qo: a single CloudServer or a
-/// sharded CloudCluster. QueryService fronts a handler without knowing
-/// which, so admission control, deadlines and flight-recorder filing are
-/// written once. Implementations must be const-thread-safe: any number of
+/// Anything that can evaluate a serialized Qo. CloudCluster is the one
+/// production implementation, at every shard count and for every method;
+/// the interface lets QueryService front it — or a wrapper around it, such
+/// as a benchmark's instrumented handler — so admission control, deadlines
+/// and flight-recorder filing are written once. Implementations must be const-thread-safe: any number of
 /// threads may call Serve concurrently.
 class QueryHandler {
  public:

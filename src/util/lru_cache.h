@@ -14,7 +14,7 @@ namespace ppsm {
 /// LRU entry once `capacity` is exceeded. Capacity 0 disables the cache
 /// (every Get misses, Put is a no-op).
 ///
-/// NOT internally synchronized — concurrent users (CloudServer) hold their
+/// NOT internally synchronized — concurrent users (CloudCluster) hold their
 /// own mutex around every call. Get returns a copy for that reason: no
 /// pointers into the cache escape the caller's critical section.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>

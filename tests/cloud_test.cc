@@ -1,5 +1,6 @@
 // Tests for the cloud-facing pieces: channel accounting, message formats,
-// CloudServer hosting/validation/answering.
+// CloudServer hosting/validation, and answering through the one-shard
+// CloudCluster that hosts the whole upload.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 
 #include "cloud/channel.h"
 #include "cloud/cloud_server.h"
+#include "cloud/cluster.h"
 #include "cloud/data_owner.h"
 #include "cloud/messages.h"
 #include "graph/example_graphs.h"
@@ -157,9 +159,11 @@ TEST(CloudServer, HostsOptimizedAndAnswers) {
   EXPECT_GT(server->IndexMemoryBytes(), 0u);
   EXPECT_EQ(server->NumCenters(), 4u);  // ceil(8/2) rows.
 
+  auto cluster = CloudCluster::Host(owner.upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
   auto request = owner.AnonymizeQueryToRequest(ex.query);
   ASSERT_TRUE(request.ok());
-  auto answer = server->Serve(*request);
+  auto answer = cluster->Serve(*request);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_GT(answer->stats.num_stars, 0u);
   EXPECT_GT(answer->stats.rs_size, 0u);
@@ -191,13 +195,13 @@ TEST(CloudServer, OptimizedHostsFewerEdgesThanBaseline) {
 
 TEST(CloudServer, RejectsMalformedQueries) {
   const DataOwner owner = MakeOwner(false);
-  auto server = CloudServer::Host(owner.upload_bytes());
-  ASSERT_TRUE(server.ok());
-  EXPECT_FALSE(server->Serve(std::vector<uint8_t>{1, 2, 3}).ok());
+  auto cluster = CloudCluster::Host(owner.upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cluster.ok());
+  EXPECT_FALSE(cluster->Serve(std::vector<uint8_t>{1, 2, 3}).ok());
   // An empty query graph is rejected too.
   GraphBuilder b;
   const AttributedGraph empty = b.Build().value();
-  EXPECT_FALSE(server->Serve(SerializeQueryRequest(empty)).ok());
+  EXPECT_FALSE(cluster->Serve(SerializeQueryRequest(empty)).ok());
 }
 
 TEST(CloudServer, RejectsInconsistentPackages) {

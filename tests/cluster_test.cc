@@ -1,9 +1,11 @@
-// Sharded-cloud tests: a CloudCluster answers byte-identically to the
-// unsharded CloudServer at every shard count (the DESIGN.md §13 guarantee),
-// shard uploads round-trip through the owner store and re-host to the same
-// answers, the exchange meters count real bytes, baseline uploads are
-// rejected, and the PpsmSystem facade serves the sharded path end to end —
-// including concurrently (run under TSan in CI).
+// Cluster tests: a CloudCluster answers byte-identically to the test-only
+// reference pipeline (cloud_oracle.h) at every shard count — the DESIGN.md
+// §13 guarantee — and hosts the BAS baseline as its one slice; shards plan
+// with the global statistics, shard uploads round-trip through the owner
+// store and re-host to the same answers, the exchange meters count real
+// bytes, sharded baselines are rejected, and the PpsmSystem facade serves
+// the sharded path end to end — including concurrently (run under TSan in
+// CI).
 
 #include "cloud/cluster.h"
 
@@ -15,6 +17,8 @@
 
 #include "cloud/cloud_server.h"
 #include "cloud/data_owner.h"
+#include "cloud/messages.h"
+#include "cloud_oracle.h"
 #include "cloud/owner_store.h"
 #include "core/ppsm_system.h"
 #include "graph/generators.h"
@@ -55,6 +59,29 @@ Fixture MakeFixture(uint32_t k, size_t num_queries, uint64_t seed = 11) {
   return fx;
 }
 
+// The reply must be the oracle's: payload byte for byte, and the global
+// plan the oracle's plan, unit for unit.
+void ExpectMatchesOracle(const WireAnswer& got, const OracleAnswer& want,
+                         uint32_t num_shards) {
+  EXPECT_EQ(got.response_payload, want.payload) << "shards=" << num_shards;
+  EXPECT_EQ(got.stats.num_stars, want.plan.units.size());
+  EXPECT_EQ(got.stats.result_rows, want.rin.NumMatches());
+  ASSERT_EQ(got.stats.stars.size(), want.units.size());
+  size_t rs_size = 0;
+  for (size_t u = 0; u < want.units.size(); ++u) {
+    const UnitProfile& unit = got.stats.stars[u];
+    EXPECT_EQ(unit.center, want.units[u].center);
+    EXPECT_EQ(unit.candidates, want.units[u].num_candidates);
+    EXPECT_EQ(unit.rows, want.units[u].matches.NumMatches());
+    EXPECT_EQ(unit.estimated_rows, want.plan.estimates[u]);
+    EXPECT_EQ(unit.kind, UnitKindName(want.plan.units[u].kind));
+    rs_size += want.units[u].matches.NumMatches();
+  }
+  EXPECT_EQ(got.stats.rs_size, rs_size);
+  // One shard's slice is the whole upload: no per-shard accounting.
+  EXPECT_EQ(got.stats.shards.size(), num_shards == 1 ? 0u : num_shards);
+}
+
 TEST(Cluster, ByteIdenticalToUnshardedAtEveryShardCount) {
   // The acceptance bar of the sharded design: not equivalent-up-to-order
   // but BYTE-identical response payloads, for k=8 and a mixed workload.
@@ -71,27 +98,92 @@ TEST(Cluster, ByteIdenticalToUnshardedAtEveryShardCount) {
     EXPECT_EQ(cluster->k(), 8u);
 
     for (const auto& request : fx.requests) {
-      auto want = server->Serve(request);
+      auto want = OracleServe(*server, request);
       ASSERT_TRUE(want.ok()) << want.status();
       auto got = cluster->Serve(request);
       ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(got->response_payload, want->response_payload)
-          << "shards=" << num_shards;
-      // The global plan must be the unsharded plan, star for star.
-      EXPECT_EQ(got->stats.num_stars, want->stats.num_stars);
-      EXPECT_EQ(got->stats.rs_size, want->stats.rs_size);
-      EXPECT_EQ(got->stats.result_rows, want->stats.result_rows);
-      ASSERT_EQ(got->stats.stars.size(), want->stats.stars.size());
-      for (size_t s = 0; s < want->stats.stars.size(); ++s) {
-        EXPECT_EQ(got->stats.stars[s].center, want->stats.stars[s].center);
-        EXPECT_EQ(got->stats.stars[s].candidates,
-                  want->stats.stars[s].candidates);
-        EXPECT_EQ(got->stats.stars[s].rows, want->stats.stars[s].rows);
-        EXPECT_EQ(got->stats.stars[s].estimated_rows,
-                  want->stats.stars[s].estimated_rows);
-      }
-      ASSERT_EQ(got->stats.shards.size(), num_shards);
+      ExpectMatchesOracle(*got, *want, num_shards);
     }
+  }
+}
+
+TEST(Cluster, OneShardSliceIsTheUploadItself) {
+  // Why one shard hosts the upload without re-slicing it: Go already holds
+  // exactly the vertices within `hops` of B1 and the edges within hops - 1,
+  // so the one slice BuildShardUploads cuts is Go, id for id.
+  auto g = GenerateDataset(DbpediaLike(0.01));
+  ASSERT_TRUE(g.ok());
+  for (const uint32_t hops : {1u, 2u}) {
+    DataOwnerOptions options;
+    options.k = 3;
+    options.go_hops = hops;
+    auto owner = DataOwner::Create(*g, g->schema(), options);
+    ASSERT_TRUE(owner.ok()) << owner.status();
+    auto package = UploadPackage::Deserialize(owner->upload_bytes());
+    ASSERT_TRUE(package.ok());
+    auto plan = BuildShardUploads(*package, /*num_shards=*/1, /*seed=*/7);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_EQ(plan->shards.size(), 1u);
+    const ShardUpload& slice = plan->shards[0];
+    EXPECT_EQ(slice.package.go->Serialize(), package->go->Serialize())
+        << "hops=" << hops;
+    for (size_t l = 0; l < slice.to_global.size(); ++l) {
+      ASSERT_EQ(slice.to_global[l], l);
+      EXPECT_EQ(slice.owned[l] != 0, l < package->go->num_b1);
+    }
+  }
+}
+
+TEST(Cluster, ShardsPlanWithTheGlobalStatistics) {
+  // Every slice is hosted with the statistics of the whole upload — the
+  // table the coordinator plans with — not a summary of its own biased B1.
+  Fixture fx = MakeFixture(/*k=*/3, /*num_queries=*/0);
+  auto whole = CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  const std::vector<uint8_t> want =
+      SerializeGkStatistics(whole->statistics());
+  for (const uint32_t num_shards : {2u, 4u}) {
+    ClusterConfig config;
+    config.num_shards = num_shards;
+    auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), config);
+    ASSERT_TRUE(cluster.ok()) << cluster.status();
+    EXPECT_EQ(SerializeGkStatistics(cluster->statistics()), want);
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      EXPECT_EQ(SerializeGkStatistics(cluster->shard(s).statistics()), want)
+          << "shards=" << num_shards << " shard=" << s;
+    }
+  }
+}
+
+TEST(Cluster, HostsTheBaselineAsOneSlice) {
+  // BAS ships all of Gk; one shard hosts it under the identity AVT and
+  // answers exactly what the oracle computes over the same Gk.
+  auto g = GenerateDataset(DbpediaLike(0.008));
+  ASSERT_TRUE(g.ok());
+  DataOwnerOptions options;
+  options.k = 2;
+  options.baseline_upload = true;
+  auto owner = DataOwner::Create(*g, g->schema(), options);
+  ASSERT_TRUE(owner.ok()) << owner.status();
+  auto server = CloudServer::Host(owner->upload_bytes());
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto cluster = CloudCluster::Host(owner->upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  ASSERT_EQ(cluster->num_shards(), 1u);
+  EXPECT_TRUE(cluster->shard(0).IsBaseline());
+  EXPECT_EQ(cluster->k(), 1u);  // The identity AVT.
+
+  Rng rng(5);
+  for (int i = 0; i < 4; ++i) {
+    auto extracted = ExtractQuery(*g, 2 + i, rng);
+    ASSERT_TRUE(extracted.ok());
+    auto request = owner->AnonymizeQueryToRequest(extracted->query);
+    ASSERT_TRUE(request.ok());
+    auto want = OracleServe(*server, *request);
+    ASSERT_TRUE(want.ok()) << want.status();
+    auto got = cluster->Serve(*request);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectMatchesOracle(*got, *want, 1);
   }
 }
 
@@ -123,11 +215,11 @@ TEST(Cluster, ShardUploadsRoundTripThroughTheStore) {
   auto cluster = CloudCluster::HostShards(std::move(reloaded->shards), config);
   ASSERT_TRUE(cluster.ok()) << cluster.status();
   for (const auto& request : fx.requests) {
-    auto want = server->Serve(request);
-    ASSERT_TRUE(want.ok());
+    auto want = OracleServe(*server, request);
+    ASSERT_TRUE(want.ok()) << want.status();
     auto got = cluster->Serve(request);
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->response_payload, want->response_payload);
+    EXPECT_EQ(got->response_payload, want->payload);
   }
 }
 
@@ -173,9 +265,8 @@ TEST(Cluster, SystemFacadeServesShardedBatchesConcurrently) {
   config.num_shards = 4;
   auto sharded = PpsmSystem::Setup(*g, g->schema(), config);
   ASSERT_TRUE(sharded.ok()) << sharded.status();
-  ASSERT_NE(sharded->cluster(), nullptr);
-  EXPECT_EQ(sharded->cluster()->num_shards(), 4u);
-  EXPECT_EQ(unsharded->cluster(), nullptr);
+  EXPECT_EQ(sharded->cluster().num_shards(), 4u);
+  EXPECT_EQ(unsharded->cluster().num_shards(), 1u);
 
   std::vector<QueryRequest> workload;
   Rng rng(23);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cloud/cloud_server.h"
+#include "cloud/cluster.h"
 #include "graph/example_graphs.h"
 #include "graph/generators.h"
 #include "match/subgraph_matcher.h"
@@ -128,15 +128,15 @@ TEST(DataOwner, BaselineSkipsExpansion) {
 }
 
 TEST(DataOwner, EndToEndAgainstCloudServer) {
-  // Owner + server round trip without the facade.
+  // Owner + cloud round trip without the facade.
   const auto g = GenerateDataset(DbpediaLike(0.01));
   ASSERT_TRUE(g.ok());
   DataOwnerOptions options;
   options.k = 3;
   auto owner = DataOwner::Create(*g, g->schema(), options);
   ASSERT_TRUE(owner.ok());
-  auto server = CloudServer::Host(owner->upload_bytes());
-  ASSERT_TRUE(server.ok());
+  auto cloud = CloudCluster::Host(owner->upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cloud.ok());
 
   const RunningExample ex = MakeRunningExample();
   (void)ex;
@@ -154,7 +154,7 @@ TEST(DataOwner, EndToEndAgainstCloudServer) {
 
   auto request = owner->AnonymizeQueryToRequest(query);
   ASSERT_TRUE(request.ok());
-  auto answer = server->Serve(*request);
+  auto answer = cloud->Serve(*request);
   ASSERT_TRUE(answer.ok());
   auto results = owner->ProcessResponse(query, answer->response_payload);
   ASSERT_TRUE(results.ok());

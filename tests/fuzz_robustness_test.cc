@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cloud/cloud_server.h"
+#include "cloud/cluster.h"
 #include "cloud/data_owner.h"
 #include "cloud/messages.h"
 #include "graph/example_graphs.h"
@@ -134,22 +134,63 @@ TEST(FuzzRobustness, LctDeserializer) {
 }
 
 TEST(FuzzRobustness, CloudSurvivesMalformedQueries) {
-  // End-to-end: a hosted cloud server fed mutated query requests must
-  // return errors, never crash.
+  // End-to-end: the hosted cloud, at one shard and at two, fed mutated
+  // query requests must return errors, never crash.
   const RunningExample ex = MakeRunningExample();
   DataOwnerOptions options;
   options.k = 2;
   auto owner = DataOwner::Create(ex.graph, ex.schema, options);
   ASSERT_TRUE(owner.ok());
-  auto server = CloudServer::Host(owner->upload_bytes());
-  ASSERT_TRUE(server.ok());
   auto request = owner->AnonymizeQueryToRequest(ex.query);
   ASSERT_TRUE(request.ok());
-  FuzzDecoder(*request,
-              [&server](std::span<const uint8_t> bytes) {
-                return server->Serve(bytes).ok();
+  for (const uint32_t num_shards : {1u, 2u}) {
+    ClusterConfig config;
+    config.num_shards = num_shards;
+    auto cloud = CloudCluster::Host(owner->upload_bytes(), config);
+    ASSERT_TRUE(cloud.ok()) << cloud.status();
+    FuzzDecoder(*request,
+                [&cloud](std::span<const uint8_t> bytes) {
+                  return cloud->Serve(bytes).ok();
+                },
+                1008);
+  }
+}
+
+TEST(FuzzRobustness, StarRowsDeserializer) {
+  // The coordinator decodes every shard's exchange payload.
+  std::vector<UnitMatches> units(2);
+  units[0].center = 0;
+  units[0].columns = {0, 1, 2};
+  units[0].matches = MatchSet(3);
+  units[1].center = 3;
+  units[1].columns = {3, 1};
+  units[1].matches = MatchSet(2);
+  for (VertexId i = 0; i < 12; ++i) {
+    units[0].matches.Append(std::vector<VertexId>{i, i + 40, i + 900});
+    units[1].matches.Append(std::vector<VertexId>{i * 7, i + 40});
+  }
+  FuzzDecoder(SerializeStarRows(units),
+              [](std::span<const uint8_t> bytes) {
+                return DeserializeStarRows(bytes).ok();
               },
-              1008);
+              1009);
+}
+
+TEST(FuzzRobustness, ShardUploadDeserializer) {
+  const RunningExample ex = MakeRunningExample();
+  DataOwnerOptions options;
+  options.k = 2;
+  auto owner = DataOwner::Create(ex.graph, ex.schema, options);
+  ASSERT_TRUE(owner.ok());
+  auto plan = owner->BuildShardUploads(/*num_shards=*/2, /*seed=*/7);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (const ShardUpload& shard : plan->shards) {
+    FuzzDecoder(shard.Serialize(),
+                [](std::span<const uint8_t> bytes) {
+                  return ShardUpload::Deserialize(bytes).ok();
+                },
+                1010 + shard.shard);
+  }
 }
 
 }  // namespace

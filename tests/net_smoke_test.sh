@@ -3,8 +3,9 @@
 # loopback ephemeral port, replay a pattern through `ppsm_cli query
 # --connect`, and require the match rows to be identical to an in-process
 # `ppsm_cli query` over the same graph — at one shard and two, and again
-# after a zero-downtime hot-swap. First argument: path to the ppsm_server
-# binary; second: path to ppsm_cli.
+# after a zero-downtime hot-swap; then a BAS server must return those same
+# rows, and a sharded BAS server must refuse to start. First argument: path
+# to the ppsm_server binary; second: path to ppsm_cli.
 set -e
 
 SERVER="$1"
@@ -98,5 +99,30 @@ for SHARDS in 1 2; do
   wait "$SERVER_PID" 2>/dev/null || true
   SERVER_PID=""
 done
+
+# BAS ships all of Gk and answers through the same one-shard cloud. Every
+# method returns the exact R(Q,G), so its rows must equal the EFF rows.
+start_server --in "$DIR/g.graph" --k 3 --method bas
+"$CLI" query --connect "127.0.0.1:$PORT" --pattern "$DIR/q.pat" \
+    > "$DIR/bas.txt"
+matches_only "$DIR/bas.txt" > "$DIR/bas_rows.txt"
+cmp -s "$DIR/bas_rows.txt" "$DIR/rows1.txt" || {
+  echo "BAS rows diverge from in-process EFF rows"
+  diff "$DIR/rows1.txt" "$DIR/bas_rows.txt" | head; exit 1;
+}
+kill "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+
+# A sharded BAS deployment has no B1 block to partition: the server must
+# exit with the typed refusal instead of serving.
+if "$SERVER" --in "$DIR/g.graph" --k 3 --method bas --shards 2 --port 0 \
+    > "$DIR/bas_sharded.log" 2>&1; then
+  echo "sharded BAS server did not refuse"; exit 1
+fi
+grep -q "error: InvalidArgument" "$DIR/bas_sharded.log" || {
+  echo "sharded BAS refusal is not the typed InvalidArgument:"
+  cat "$DIR/bas_sharded.log"; exit 1;
+}
 
 echo "net smoke test passed"

@@ -1,7 +1,8 @@
 // End-to-end observability: running PpsmSystem setup + query populates the
 // global tracer with the expected span tree and the global registry with the
-// pipeline metrics, and parallel star matching records the same histogram
-// totals as serial.
+// pipeline metrics — at one shard and at two, since every deployment answers
+// through the same CloudCluster::Serve — and parallel star matching records
+// the same histogram totals as serial.
 
 #include <gtest/gtest.h>
 
@@ -46,7 +47,10 @@ double CounterValue(const std::string& name) {
   return snap.value;
 }
 
-TEST(ObservabilityE2e, SetupAndQueryEmitExpectedSpanTree) {
+/// Parameter: the deployment's shard count.
+class ObservabilityE2eShards : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ObservabilityE2eShards, SetupAndQueryEmitExpectedSpanTree) {
   Tracer& tracer = Tracer::Global();
   tracer.Clear();
   MetricsRegistry::Global().Reset();
@@ -54,6 +58,7 @@ TEST(ObservabilityE2e, SetupAndQueryEmitExpectedSpanTree) {
   const RunningExample ex = MakeRunningExample();
   SystemConfig config;
   config.k = 2;
+  config.num_shards = GetParam();
   auto system = PpsmSystem::Setup(ex.graph, ex.schema, config);
   ASSERT_TRUE(system.ok());
   QueryRequest request;
@@ -72,6 +77,8 @@ TEST(ObservabilityE2e, SetupAndQueryEmitExpectedSpanTree) {
         "client.process_response", "client.expand", "client.filter"}) {
     EXPECT_NE(FindSpan(events, name), nullptr) << "missing span " << name;
   }
+  // Only a sharded deployment ships rows shard -> coordinator.
+  EXPECT_EQ(FindSpan(events, "cluster.exchange") != nullptr, GetParam() > 1);
   // The channel emitted transfer instants (upload, request, response).
   const size_t instants = static_cast<size_t>(
       std::count_if(events.begin(), events.end(), [](const TraceEvent& e) {
@@ -103,11 +110,12 @@ TEST(ObservabilityE2e, SetupAndQueryEmitExpectedSpanTree) {
   EXPECT_LE(setup->ts_us + setup->dur_us, query->ts_us);
 }
 
-TEST(ObservabilityE2e, QueryPopulatesPipelineMetrics) {
+TEST_P(ObservabilityE2eShards, QueryPopulatesPipelineMetrics) {
   MetricsRegistry::Global().Reset();
   const RunningExample ex = MakeRunningExample();
   SystemConfig config;
   config.k = 2;
+  config.num_shards = GetParam();
   auto system = PpsmSystem::Setup(ex.graph, ex.schema, config);
   ASSERT_TRUE(system.ok());
   QueryRequest request;
@@ -133,6 +141,12 @@ TEST(ObservabilityE2e, QueryPopulatesPipelineMetrics) {
   EXPECT_EQ(HistogramCount("ppsm_cloud_star_match_rows"),
             static_cast<uint64_t>(outcome.cloud.num_stars));
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, ObservabilityE2eShards,
+                         ::testing::Values(1u, 2u),
+                         [](const ::testing::TestParamInfo<uint32_t>& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST(ObservabilityE2e, FailedQueriesStayVisibleInMetrics) {
   MetricsRegistry::Global().Reset();

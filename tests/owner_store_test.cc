@@ -4,7 +4,7 @@
 
 #include <filesystem>
 
-#include "cloud/cloud_server.h"
+#include "cloud/cluster.h"
 #include "graph/generators.h"
 #include "graph/query_extractor.h"
 #include "util/random.h"
@@ -51,8 +51,8 @@ TEST(OwnerStore, RestoredOwnerAnswersQueriesIdentically) {
   auto restored = LoadDataOwner(dir);
   ASSERT_TRUE(restored.ok());
 
-  auto server = CloudServer::Host(restored->upload_bytes());
-  ASSERT_TRUE(server.ok());
+  auto cloud = CloudCluster::Host(restored->upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cloud.ok());
   Rng rng(9);
   for (int i = 0; i < 5; ++i) {
     auto extracted = ExtractQuery(*g, 4, rng);
@@ -62,7 +62,7 @@ TEST(OwnerStore, RestoredOwnerAnswersQueriesIdentically) {
     ASSERT_TRUE(request_a.ok());
     ASSERT_TRUE(request_b.ok());
     EXPECT_EQ(*request_a, *request_b);  // Same LCT -> same Qo.
-    auto answer = server->Serve(*request_b);
+    auto answer = cloud->Serve(*request_b);
     ASSERT_TRUE(answer.ok());
     auto results_a =
         owner->ProcessResponse(extracted->query, answer->response_payload);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cloud/cloud_server.h"
+#include "cloud/cluster.h"
 #include "core/ppsm_system.h"
 #include "cloud/data_owner.h"
 #include "graph/generators.h"
@@ -51,13 +52,14 @@ TEST(ParallelCloud, SameAnswersAsSerial) {
   auto owner = DataOwner::Create(*g, g->schema(), options);
   ASSERT_TRUE(owner.ok());
 
-  CloudConfig parallel_config;
+  ShardConfig parallel_config;
   parallel_config.num_threads = 4;
-  auto serial = CloudServer::Host(owner->upload_bytes());
-  auto parallel = CloudServer::Host(owner->upload_bytes(), parallel_config);
+  auto serial = CloudCluster::Host(owner->upload_bytes(), ClusterConfig{});
+  auto parallel = CloudCluster::Host(owner->upload_bytes(), ClusterConfig{},
+                                     parallel_config);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel->num_threads(), 4u);
+  EXPECT_EQ(parallel->shard(0).num_threads(), 4u);
 
   Rng rng(33);
   for (int i = 0; i < 8; ++i) {
@@ -115,6 +117,13 @@ TEST(ParallelCloud, ZeroThreadsClampsToOne) {
   ASSERT_TRUE(server.ok());
   EXPECT_EQ(server->num_threads(), 1u);
   EXPECT_EQ(server->config().max_inflight, 1u);
+  // The cluster serving that upload clamps the same way.
+  auto cluster = CloudCluster::Host(owner->upload_bytes(),
+                                    ToClusterConfig(config),
+                                    ToShardConfig(config));
+  ASSERT_TRUE(cluster.ok());
+  EXPECT_EQ(cluster->shard(0).num_threads(), 1u);
+  EXPECT_EQ(cluster->limits().max_inflight, 1u);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "cloud/channel.h"
-#include "cloud/cloud_server.h"
+#include "cloud/cluster.h"
 #include "cloud/data_owner.h"
 #include "cloud/query_service.h"
 #include "core/ppsm_system.h"
@@ -77,9 +77,9 @@ bool FindProfile(uint64_t query_id, QueryProfile* out) {
 
 TEST(QueryObs, ReplyCarriesQueryIdAndPerPhaseProfiles) {
   Fixture fx = MakeFixture(3);
-  auto server = CloudServer::Host(fx.owner.upload_bytes());
-  ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  auto cloud = CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cloud.ok());
+  QueryService service(&*cloud);
   FlightRecorder::Global().Clear();
 
   std::set<uint64_t> seen_ids;
@@ -136,9 +136,9 @@ TEST(QueryObs, ReplyCarriesQueryIdAndPerPhaseProfiles) {
 
 TEST(QueryObs, QueryIdPropagatesIntoSpanArgs) {
   Fixture fx = MakeFixture(1);
-  auto server = CloudServer::Host(fx.owner.upload_bytes());
-  ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  auto cloud = CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cloud.ok());
+  QueryService service(&*cloud);
 
   Tracer::Global().Clear();
   auto answer = service.Execute(fx.requests[0]);
@@ -162,9 +162,9 @@ TEST(QueryObs, QueryIdPropagatesIntoSpanArgs) {
 
 TEST(QueryObs, ExpiredDeadlineStillProducesACapture) {
   Fixture fx = MakeFixture(1);
-  auto server = CloudServer::Host(fx.owner.upload_bytes());
-  ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  auto cloud = CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cloud.ok());
+  QueryService service(&*cloud);
   FlightRecorder::Global().Clear();
 
   const auto past =
@@ -192,8 +192,8 @@ TEST(QueryObs, ExpiredDeadlineStillProducesACapture) {
 
 TEST(QueryObs, DirectServeFillsStatsOnDeadlineFailure) {
   Fixture fx = MakeFixture(1);
-  auto server = CloudServer::Host(fx.owner.upload_bytes());
-  ASSERT_TRUE(server.ok());
+  auto cloud = CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cloud.ok());
   FlightRecorder::Global().Clear();
 
   QueryContext ctx;
@@ -201,13 +201,13 @@ TEST(QueryObs, DirectServeFillsStatsOnDeadlineFailure) {
   ctx.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
   CloudQueryStats stats;
   ctx.stats = &stats;
-  auto answer = server->Serve(fx.requests[0], ctx);
+  auto answer = cloud->Serve(fx.requests[0], ctx);
   ASSERT_FALSE(answer.ok());
   EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded);
   // The out-param carries the partial stats despite the early return...
   EXPECT_EQ(stats.query_id, ctx.query_id);
   EXPECT_EQ(stats.timed_out_phase, "on admission");
-  // ...and a direct server call does not file with the recorder — that is
+  // ...and a direct handler call does not file with the recorder — that is
   // the service's job.
   EXPECT_EQ(FlightRecorder::Global().NumRecorded(), 0u);
 }

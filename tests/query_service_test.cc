@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "cloud/cloud_server.h"
+#include "cloud/cluster.h"
 #include "cloud/data_owner.h"
 #include "core/ppsm_system.h"
 #include "graph/generators.h"
@@ -59,15 +59,16 @@ Fixture MakeFixture(size_t num_queries, uint64_t seed = 7) {
 }
 
 // The acceptance bar for the serving redesign: >= 8 simultaneous queries
-// against one hosted server return payloads byte-identical to the serial
+// against one hosted cloud return payloads byte-identical to the serial
 // single-threaded path.
 TEST(QueryService, EightConcurrentQueriesMatchSerialByteForByte) {
   constexpr size_t kThreads = 8;
   Fixture fx = MakeFixture(kThreads);
 
-  CloudConfig serial_config;
+  ShardConfig serial_config;
   serial_config.plan_cache_entries = 0;  // Pure serial reference.
-  auto serial = CloudServer::Host(fx.owner.upload_bytes(), serial_config);
+  auto serial = CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{},
+                                   serial_config);
   ASSERT_TRUE(serial.ok());
   std::vector<std::vector<uint8_t>> expected;
   for (const auto& request : fx.requests) {
@@ -76,12 +77,14 @@ TEST(QueryService, EightConcurrentQueriesMatchSerialByteForByte) {
     expected.push_back(answer->response_payload);
   }
 
-  CloudConfig config;
-  config.num_threads = 2;
+  ClusterConfig config;
   config.max_inflight = kThreads;
-  auto server = CloudServer::Host(fx.owner.upload_bytes(), config);
-  ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  ShardConfig shard_config;
+  shard_config.num_threads = 2;
+  auto cloud =
+      CloudCluster::Host(fx.owner.upload_bytes(), config, shard_config);
+  ASSERT_TRUE(cloud.ok());
+  QueryService service(&*cloud);
 
   std::vector<std::vector<uint8_t>> got(kThreads);
   std::vector<std::atomic<bool>> ok(kThreads);
@@ -106,52 +109,54 @@ TEST(QueryService, EightConcurrentQueriesMatchSerialByteForByte) {
 
 TEST(QueryService, PlanCacheHitsOnRepeatAndKeepsAnswersIdentical) {
   Fixture fx = MakeFixture(2);
-  CloudConfig config;
+  ShardConfig config;
   config.plan_cache_entries = 8;
-  auto server = CloudServer::Host(fx.owner.upload_bytes(), config);
-  ASSERT_TRUE(server.ok());
+  auto cloud =
+      CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{}, config);
+  ASSERT_TRUE(cloud.ok());
 
   const double hits_before =
       CounterValue("ppsm_cloud_plan_cache_hits_total");
-  auto first = server->Serve(fx.requests[0]);
+  auto first = cloud->Serve(fx.requests[0]);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->stats.plan_cache_hit);
-  PlanCacheStats stats = server->plan_cache_stats();
+  PlanCacheStats stats = cloud->plan_cache_stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.capacity, 8u);
 
-  auto second = server->Serve(fx.requests[0]);
+  auto second = cloud->Serve(fx.requests[0]);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->stats.plan_cache_hit);
   EXPECT_EQ(second->response_payload, first->response_payload)
       << "cached plan changed the answer";
-  stats = server->plan_cache_stats();
+  stats = cloud->plan_cache_stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(CounterValue("ppsm_cloud_plan_cache_hits_total"), hits_before);
 
   // A different query is a miss, not a false hit.
-  auto third = server->Serve(fx.requests[1]);
+  auto third = cloud->Serve(fx.requests[1]);
   ASSERT_TRUE(third.ok());
   EXPECT_FALSE(third->stats.plan_cache_hit);
-  EXPECT_EQ(server->plan_cache_stats().misses, 2u);
+  EXPECT_EQ(cloud->plan_cache_stats().misses, 2u);
 }
 
 TEST(QueryService, PlanCacheDisabledNeverCounts) {
   Fixture fx = MakeFixture(1);
-  CloudConfig config;
+  ShardConfig config;
   config.plan_cache_entries = 0;
-  auto server = CloudServer::Host(fx.owner.upload_bytes(), config);
-  ASSERT_TRUE(server.ok());
+  auto cloud =
+      CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{}, config);
+  ASSERT_TRUE(cloud.ok());
   for (int i = 0; i < 3; ++i) {
-    auto answer = server->Serve(fx.requests[0]);
+    auto answer = cloud->Serve(fx.requests[0]);
     ASSERT_TRUE(answer.ok());
     EXPECT_FALSE(answer->stats.plan_cache_hit);
   }
-  const PlanCacheStats stats = server->plan_cache_stats();
+  const PlanCacheStats stats = cloud->plan_cache_stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.capacity, 0u);
@@ -159,9 +164,9 @@ TEST(QueryService, PlanCacheDisabledNeverCounts) {
 
 TEST(QueryService, ExpiredDeadlineReturnsTypedStatus) {
   Fixture fx = MakeFixture(1);
-  auto server = CloudServer::Host(fx.owner.upload_bytes());
-  ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  auto cloud = CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cloud.ok());
+  QueryService service(&*cloud);
 
   const auto past =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
@@ -170,10 +175,10 @@ TEST(QueryService, ExpiredDeadlineReturnsTypedStatus) {
   EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded)
       << answer.status();
 
-  // The server-level entry point refuses too (no admission involved).
+  // The handler itself refuses too (no admission involved).
   QueryContext past_ctx;
   past_ctx.deadline = past;
-  auto direct = server->Serve(fx.requests[0], past_ctx);
+  auto direct = cloud->Serve(fx.requests[0], past_ctx);
   ASSERT_FALSE(direct.ok());
   EXPECT_EQ(direct.status().code(), StatusCode::kDeadlineExceeded);
 
@@ -331,9 +336,9 @@ TEST(AdmissionGate, ZeroBudgetUnderSaturatedGateRefusesCleanly) {
 // profile accounts the encoded error reply instead of 0 response bytes.
 TEST(QueryService, ExpiredBudgetStampsQueuePhaseAndAccountsReplyBytes) {
   Fixture fx = MakeFixture(1);
-  auto server = CloudServer::Host(fx.owner.upload_bytes());
-  ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  auto cloud = CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cloud.ok());
+  QueryService service(&*cloud);
 
   FlightRecorder::Global().Clear();
   const auto past =

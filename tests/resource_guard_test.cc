@@ -1,8 +1,11 @@
 // Tests for the production-hardening additions on top of the paper's
-// algorithms: the candidate-aware cardinality estimator and the row-cap
-// resource guards in unit matching and the join.
+// algorithms: the candidate-aware cardinality estimator, the row-cap
+// resource guards in unit matching and the join, and the join's deadline
+// cancellation.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 #include "graph/generators.h"
 #include "match/decomposition.h"
@@ -144,22 +147,25 @@ TEST(JoinGuard, RejectsTruncatedStars) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
+// A single-vertex star binding query vertex `column` to each of 100 data
+// vertices; two of them join as a 100 x 100 cross product.
+UnitMatches HundredRowStar(VertexId column) {
+  UnitMatches star;
+  star.center = column;
+  star.columns = {column};
+  star.matches = MatchSet(1);
+  for (VertexId v = 0; v < 100; ++v) {
+    star.matches.Append(std::vector<VertexId>{v});
+  }
+  return star;
+}
+
 TEST(JoinGuard, RowCapStopsExplosiveJoin) {
   // Two disconnected single-vertex stars over 100 candidates each: the
   // cross product has 9900 rows; a 100-row cap must refuse.
   Avt avt(1, 100);
   for (uint32_t r = 0; r < 100; ++r) avt.Place(r, 0, r);
-  auto make_star = [](VertexId column) {
-    UnitMatches star;
-    star.center = column;
-    star.columns = {column};
-    star.matches = MatchSet(1);
-    for (VertexId v = 0; v < 100; ++v) {
-      star.matches.Append(std::vector<VertexId>{v});
-    }
-    return star;
-  };
-  const std::vector<UnitMatches> stars{make_star(0), make_star(1)};
+  const std::vector<UnitMatches> stars{HundredRowStar(0), HundredRowStar(1)};
   JoinOptions options;
   options.max_rows = 100;
   const auto capped = JoinUnitMatches(stars, avt, 2, options);
@@ -168,6 +174,28 @@ TEST(JoinGuard, RowCapStopsExplosiveJoin) {
   const auto uncapped = JoinUnitMatches(stars, avt, 2, JoinOptions{});
   ASSERT_TRUE(uncapped.ok());
   EXPECT_EQ(uncapped->NumMatches(), 9900u);  // Injectivity drops the diagonal.
+}
+
+TEST(JoinGuard, CancellationStopsTheJoin) {
+  // The same cross product with a cancel hook that fires at its first poll
+  // (the deadline a served query carries): the join must stop with
+  // DeadlineExceeded before producing a single row.
+  Avt avt(1, 100);
+  for (uint32_t r = 0; r < 100; ++r) avt.Place(r, 0, r);
+  const std::vector<UnitMatches> stars{HundredRowStar(0), HundredRowStar(1)};
+  std::atomic<int> polls{0};
+  JoinOptions options;
+  options.cancelled = [&polls] {
+    polls.fetch_add(1);
+    return true;
+  };
+  JoinDiagnostics diagnostics;
+  const auto cancelled = JoinUnitMatches(stars, avt, 2, options, &diagnostics);
+  EXPECT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(polls.load(), 1);
+  ASSERT_EQ(diagnostics.steps.size(), 2u);  // The anchor, then the step.
+  EXPECT_EQ(diagnostics.steps.back().output_rows, 0u);
 }
 
 }  // namespace

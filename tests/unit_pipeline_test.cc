@@ -1,10 +1,10 @@
 // End-to-end guarantees of the generalized star/path/tree decomposition:
 // mixed-unit planning (go_hops >= 2) must return exactly the brute-force
 // R(Q,G) and agree with star-only planning on every small-world topology and
-// k; a radius-2 sharded cluster must answer byte-identically to the
-// unsharded server at 1/2/4 shards on path- and tree-shaped queries (which
-// actually select deep units); and 1-vs-8-thread serving of deep units must
-// be byte-identical (run under TSan in CI).
+// k; a radius-2 cluster must answer byte-identically to the test-only
+// reference pipeline (cloud_oracle.h) at 1/2/4 shards on path- and
+// tree-shaped queries (which actually select deep units); and 1-vs-8-thread
+// serving of deep units must be byte-identical (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "cloud/cloud_server.h"
 #include "cloud/cluster.h"
 #include "cloud/data_owner.h"
+#include "cloud_oracle.h"
 #include "core/ppsm_system.h"
 #include "graph/generators.h"
 #include "graph/query_shapes.h"
@@ -139,18 +140,19 @@ TEST(UnitPipeline, ShardsByteIdenticalWithDeepUnits) {
     ASSERT_TRUE(cluster.ok()) << cluster.status();
 
     for (size_t i = 0; i < fx.requests.size(); ++i) {
-      auto want = server->Serve(fx.requests[i]);
+      auto want = OracleServe(*server, fx.requests[i]);
       ASSERT_TRUE(want.ok()) << want.status();
       auto got = cluster->Serve(fx.requests[i]);
       ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(got->response_payload, want->response_payload)
+      EXPECT_EQ(got->response_payload, want->payload)
           << "shards=" << num_shards << " query=" << i;
-      ASSERT_EQ(got->stats.num_stars, want->stats.num_stars);
-      ASSERT_EQ(got->stats.stars.size(), want->stats.stars.size());
+      ASSERT_EQ(got->stats.num_stars, want->plan.units.size());
+      ASSERT_EQ(got->stats.stars.size(), want->plan.units.size());
       for (size_t u = 0; u < got->stats.stars.size(); ++u) {
-        EXPECT_EQ(got->stats.stars[u].kind, want->stats.stars[u].kind)
+        const std::string kind = UnitKindName(want->plan.units[u].kind);
+        EXPECT_EQ(got->stats.stars[u].kind, kind)
             << "shards=" << num_shards << " query=" << i << " unit=" << u;
-        if (want->stats.stars[u].kind != "star") saw_deep_unit = true;
+        if (kind != "star") saw_deep_unit = true;
       }
     }
   }
@@ -165,15 +167,16 @@ TEST(UnitPipeline, ShardsByteIdenticalWithDeepUnits) {
 TEST(UnitPipeline, OneVsEightThreadsByteIdenticalWithDeepUnits) {
   DeepFixture fx = MakeDeepFixture(/*k=*/3, /*seed=*/29);
 
-  CloudConfig serial_config;
+  ShardConfig serial_config;
   serial_config.num_threads = 1;
-  auto serial = CloudServer::Host(fx.owner.upload_bytes(), serial_config);
+  auto serial = CloudCluster::Host(fx.owner.upload_bytes(), ClusterConfig{},
+                                   serial_config);
   ASSERT_TRUE(serial.ok());
 
-  CloudConfig parallel_config;
+  ShardConfig parallel_config;
   parallel_config.num_threads = 8;
-  auto parallel =
-      CloudServer::Host(fx.owner.upload_bytes(), parallel_config);
+  auto parallel = CloudCluster::Host(fx.owner.upload_bytes(),
+                                     ClusterConfig{}, parallel_config);
   ASSERT_TRUE(parallel.ok());
 
   for (size_t i = 0; i < fx.requests.size(); ++i) {

@@ -365,8 +365,9 @@ int Query(const Args& args) {
       static_cast<size_t>(std::max(1L, args.GetInt("setup-threads", 1)));
   config.cloud.query_deadline_ms =
       static_cast<uint64_t>(std::max(0L, args.GetInt("deadline-ms", 0)));
-  // --shards=S hosts a CloudCluster of S slice servers instead of one
-  // CloudServer; results are byte-identical at any value (DESIGN.md §13).
+  // --shards=S slices the upload across S shard servers of the cluster (1
+  // hosts it whole); results are byte-identical at any value (DESIGN.md
+  // §13).
   config.num_shards =
       static_cast<uint32_t>(std::max(1L, args.GetInt("shards", 1)));
   // --go-hops=H uploads the radius-H Go so the planner may pick path/tree
@@ -456,10 +457,10 @@ int Query(const Args& args) {
     table.AddRowValues("p95 ms (batch)", Table::Num(batch.summary.p95_ms, 3));
     table.AddRowValues("plan cache hits", batch.summary.plan_cache.hits);
     table.AddRowValues("plan cache misses", batch.summary.plan_cache.misses);
-    if (system->cluster() != nullptr) {
-      table.AddRowValues("shards", system->cluster()->num_shards());
+    if (system->cluster().num_shards() > 1) {
+      table.AddRowValues("shards", system->cluster().num_shards());
       table.AddRowValues("exchanged bytes",
-                         system->cluster()->ExchangedBytes());
+                         system->cluster().ExchangedBytes());
     }
     table.AddRowValues("channel messages", system->channel().num_messages());
     table.AddRowValues("channel log dropped",
@@ -493,9 +494,9 @@ int Query(const Args& args) {
             << Table::Num(response.cloud.total_ms, 3) << "ms | network "
             << Table::Num(response.network_ms, 3) << "ms | client "
             << Table::Num(response.client_ms, 3) << "ms\n";
-  if (system->cluster() != nullptr) {
-    std::cout << "cluster: " << system->cluster()->num_shards()
-              << " shard(s), " << system->cluster()->ExchangedBytes()
+  if (system->cluster().num_shards() > 1) {
+    std::cout << "cluster: " << system->cluster().num_shards()
+              << " shard(s), " << system->cluster().ExchangedBytes()
               << " exchanged byte(s)\n";
   }
   return 0;
