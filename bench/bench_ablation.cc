@@ -13,7 +13,7 @@
 #include "graph/query_extractor.h"
 #include "ilp/cover_solver.h"
 #include "match/decomposition.h"
-#include "match/result_join.h"
+#include "tests/cloud_oracle.h"
 #include "util/random.h"
 
 namespace ppsm::bench {

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "anonymize/grouping.h"
@@ -12,7 +11,6 @@
 #include "graph/attributed_graph.h"
 #include "kauto/kautomorphism.h"
 #include "match/match_set.h"
-#include "util/hash.h"
 #include "util/status.h"
 
 namespace ppsm {
@@ -71,8 +69,8 @@ class DataOwner {
   /// Rebuilds an owner from previously persisted artifacts (see
   /// cloud/owner_store.h) without re-running the anonymization pipeline.
   /// Validates the pieces against each other and re-derives the outsourced
-  /// graph, upload package and client-side hash index (all deterministic
-  /// functions of the inputs). Timing fields of setup_stats() stay zero.
+  /// graph and upload package (deterministic functions of the inputs).
+  /// Timing fields of setup_stats() stay zero.
   static Result<DataOwner> Restore(AttributedGraph graph,
                                    std::shared_ptr<const Schema> schema,
                                    Lct lct, KAutomorphicGraph kag,
@@ -99,17 +97,20 @@ class DataOwner {
       const AttributedGraph& query) const;
 
   struct ClientStats {
-    double expand_ms = 0.0;  // Rout computation (skipped for baseline).
-    double filter_ms = 0.0;  // False-positive elimination against G.
+    /// Always 0: Algorithm 3 runs as one pass with no separate expansion
+    /// phase, so total_ms is all of it.
+    double expand_ms = 0.0;
     double total_ms = 0.0;
-    size_t candidates = 0;  // |R(Qo,Gk)| examined.
+    size_t candidates = 0;  // Images examined: k * |Rin|, |Rin| for BAS.
     size_t results = 0;     // |R(Q,G)|.
   };
 
-  /// Algorithm 3: expands Rin with the automorphic functions (unless the
-  /// upload was the baseline, whose response is already R(Qo,Gk)), then
-  /// filters matches whose vertices, edges or labels do not exist in G.
-  /// `query` must be the original (un-anonymized) Q the response answers.
+  /// Algorithm 3 in one pass: applies every automorphic function to each
+  /// Rin row (only the identity for the baseline, whose response is
+  /// R(Qo,Gk) already) and keeps the images that are matches of `query` in
+  /// G. Returns the rows sorted and distinct. `query` must be the original
+  /// (un-anonymized) Q the response answers. A response naming a vertex
+  /// outside Gk is rejected with InvalidArgument.
   Result<MatchSet> ProcessResponse(const AttributedGraph& query,
                                    std::span<const uint8_t> response_payload,
                                    ClientStats* stats = nullptr) const;
@@ -126,9 +127,8 @@ class DataOwner {
   DataOwner() = default;
 
   /// Shared tail of Create/Restore: builds the upload package from the
-  /// already-populated members and the client-side edge index. The two are
-  /// independent and run concurrently when `num_threads` > 1.
-  Status BuildUploadAndIndex(size_t num_threads);
+  /// already-populated members; `num_threads` drives the Go extraction.
+  Status BuildUpload(size_t num_threads);
 
   AttributedGraph graph_;
   std::shared_ptr<const Schema> schema_;
@@ -138,8 +138,6 @@ class DataOwner {
   uint32_t go_hops_ = 1;
   std::vector<uint8_t> upload_bytes_;
   SetupStats setup_stats_;
-  /// O(1) edge-existence filter over E(G) (§4.2.2's hash index).
-  std::unordered_set<uint64_t, EdgeKeyHash> edge_keys_;
 };
 
 }  // namespace ppsm

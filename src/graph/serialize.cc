@@ -109,7 +109,9 @@ Result<uint64_t> BinaryReader::GetVarint() {
 Result<std::string> BinaryReader::GetString() {
   PPSM_ASSIGN_OR_RETURN(const uint64_t length, GetVarint());
   if (remaining() < length) return Status::OutOfRange("truncated string");
-  std::string value(reinterpret_cast<const char*>(&bytes_[position_]),
+  // data() + position_, not &bytes_[position_]: an empty string may end
+  // the buffer, where position_ == size() is no valid index.
+  std::string value(reinterpret_cast<const char*>(bytes_.data() + position_),
                     length);
   position_ += length;
   return value;

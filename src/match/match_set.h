@@ -46,8 +46,8 @@ class MatchSet {
   /// (graph/edge_attributes.h) before presenting results.
   MatchSet Project(const std::vector<size_t>& columns) const;
 
-  /// True iff the row-tuple has no repeated vertex (the injectivity
-  /// requirement of Def. 2; paper Algorithm 2 lines 10-12).
+  /// True iff some vertex repeats in the row-tuple, i.e. the row breaks
+  /// the injectivity requirement of Def. 2 (paper Algorithm 2 lines 10-12).
   static bool HasDuplicateVertices(std::span<const VertexId> match);
 
   /// Approximate heap footprint (communication accounting uses Serialize()).

@@ -265,17 +265,6 @@ Intermediate JoinStep(const Intermediate& current,
 
 }  // namespace
 
-MatchSet ExpandByAutomorphisms(const MatchSet& matches, const Avt& avt) {
-  MatchSet expanded(matches.arity());
-  for (uint32_t m = 0; m < avt.k(); ++m) {
-    for (size_t r = 0; r < matches.NumMatches(); ++r) {
-      expanded.Append(avt.ApplyToMatch(matches.Get(r), m));
-    }
-  }
-  expanded.SortDedup();
-  return expanded;
-}
-
 Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& units,
                                  const Avt& avt, size_t num_query_vertices,
                                  const JoinOptions& options,

@@ -15,8 +15,8 @@ namespace {
 // these payloads already pin the outer wire version, this guards the inner
 // layout independently so a same-frame-version peer with a stale payload
 // codec still fails typed instead of mis-decoding).
-constexpr uint8_t kRequestCodecVersion = 1;
-constexpr uint8_t kResponseCodecVersion = 1;
+constexpr uint8_t kRequestCodecVersion = 2;
+constexpr uint8_t kResponseCodecVersion = 2;
 
 void PutDouble(BinaryWriter& writer, double value) {
   writer.PutU64(std::bit_cast<uint64_t>(value));
@@ -87,7 +87,6 @@ std::vector<uint8_t> SerializeQueryRequest(const QueryRequest& request) {
   const std::vector<uint8_t> pattern = SerializeGraph(request.pattern);
   writer.PutVarint(pattern.size());
   writer.PutBytes(pattern);
-  writer.PutU8(request.options.sorted_matches ? 1 : 0);
   writer.PutVarint(request.deadline_ms);
   writer.PutString(request.tag);
   return writer.TakeBytes();
@@ -107,8 +106,6 @@ Result<QueryRequest> DeserializeQueryRequest(
   QueryRequest request;
   PPSM_ASSIGN_OR_RETURN(request.pattern,
                         DeserializeGraph(pattern_bytes, std::move(schema)));
-  PPSM_ASSIGN_OR_RETURN(const uint8_t sorted, reader.GetU8());
-  request.options.sorted_matches = sorted != 0;
   PPSM_ASSIGN_OR_RETURN(request.deadline_ms, reader.GetVarint());
   PPSM_ASSIGN_OR_RETURN(request.tag, reader.GetString());
   if (!reader.AtEnd()) {
@@ -128,8 +125,6 @@ std::vector<uint8_t> SerializeQueryResponse(const QueryResponse& response) {
   writer.PutBytes(matches);
   PutDouble(writer, response.network_ms);
   PutDouble(writer, response.client_ms);
-  PutDouble(writer, response.client_expand_ms);
-  PutDouble(writer, response.client_filter_ms);
   writer.PutVarint(response.client_candidates);
   PutDouble(writer, response.total_ms);
   writer.PutVarint(response.request_bytes);
@@ -167,8 +162,6 @@ Result<QueryResponse> DeserializeQueryResponse(
                         MatchSet::Deserialize(matches_bytes));
   PPSM_ASSIGN_OR_RETURN(response.network_ms, GetDouble(reader));
   PPSM_ASSIGN_OR_RETURN(response.client_ms, GetDouble(reader));
-  PPSM_ASSIGN_OR_RETURN(response.client_expand_ms, GetDouble(reader));
-  PPSM_ASSIGN_OR_RETURN(response.client_filter_ms, GetDouble(reader));
   PPSM_ASSIGN_OR_RETURN(response.client_candidates, reader.GetVarint());
   PPSM_ASSIGN_OR_RETURN(response.total_ms, GetDouble(reader));
   PPSM_ASSIGN_OR_RETURN(response.request_bytes, reader.GetVarint());

@@ -241,6 +241,23 @@ TEST(Serialize, VarintBoundaries) {
   EXPECT_TRUE(reader.AtEnd());
 }
 
+TEST(Serialize, EmptyStringEndsBuffer) {
+  // The last field is an empty string, so the reader stands at the end of
+  // the buffer when it reads it (a query request with an empty tag).
+  BinaryWriter writer;
+  writer.PutString("tag");
+  writer.PutString("");
+  BinaryReader reader(writer.bytes());
+  auto first = reader.GetString();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value(), "tag");
+  auto last = reader.GetString();
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last.value(), "");
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_FALSE(reader.GetString().ok());
+}
+
 TEST(Serialize, SortedIdsRoundTrip) {
   BinaryWriter writer;
   const std::vector<uint32_t> ids{0, 3, 3, 10, 1000000};

@@ -3,7 +3,8 @@
 // CloudServer — no plan cache, shards, exchange, deadline, row cap or
 // metrics. CloudCluster::Serve must return its payload byte for byte at
 // every shard count (DESIGN.md §13); the tests and bench_sharding compare
-// against it.
+// against it. Also the materialized Rout expansion (Algorithm 3 lines 1-5)
+// that DataOwner::ProcessResponse fuses with its filter.
 
 #ifndef PPSM_TESTS_CLOUD_ORACLE_H_
 #define PPSM_TESTS_CLOUD_ORACLE_H_
@@ -15,11 +16,26 @@
 
 #include "cloud/cloud_server.h"
 #include "cloud/messages.h"
+#include "kauto/avt.h"
 #include "match/decomposition.h"
 #include "match/result_join.h"
 #include "match/unit_matcher.h"
 
 namespace ppsm {
+
+/// Expands a match set to its Gk closure: the union of F_m(matches) for
+/// m = 0..k-1, sorted and deduplicated (Rin -> R(Qo,Gk)).
+inline MatchSet ExpandByAutomorphisms(const MatchSet& matches,
+                                      const Avt& avt) {
+  MatchSet expanded(matches.arity());
+  for (uint32_t m = 0; m < avt.k(); ++m) {
+    for (size_t r = 0; r < matches.NumMatches(); ++r) {
+      expanded.Append(avt.ApplyToMatch(matches.Get(r), m));
+    }
+  }
+  expanded.SortDedup();
+  return expanded;
+}
 
 /// What the reference evaluation produced, stage by stage.
 struct OracleAnswer {

@@ -3,12 +3,38 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cluster.h"
+#include "cloud_oracle.h"
 #include "graph/example_graphs.h"
 #include "graph/generators.h"
 #include "match/subgraph_matcher.h"
 
 namespace ppsm {
 namespace {
+
+/// Algorithm 3 in its two materialized phases: the full expansion of `rin`,
+/// then every expanded row checked against G.
+MatchSet ExpandThenFilter(const DataOwner& owner, const AttributedGraph& query,
+                          const MatchSet& rin) {
+  const AttributedGraph& g = owner.graph();
+  const MatchSet expanded = ExpandByAutomorphisms(rin, owner.kag().avt);
+  MatchSet kept(query.NumVertices());
+  for (size_t r = 0; r < expanded.NumMatches(); ++r) {
+    const auto match = expanded.Get(r);
+    bool keep = !MatchSet::HasDuplicateVertices(match);
+    for (size_t q = 0; keep && q < match.size(); ++q) {
+      const auto qv = static_cast<VertexId>(q);
+      keep = g.IsValidVertex(match[q]) &&
+             g.TypesContainAll(match[q], query.Types(qv)) &&
+             g.LabelsContainAll(match[q], query.Labels(qv));
+    }
+    query.ForEachEdge([&](VertexId a, VertexId b) {
+      keep = keep && g.HasEdge(match[a], match[b]);
+    });
+    if (keep) kept.Append(match);
+  }
+  kept.SortDedup();
+  return kept;
+}
 
 TEST(DataOwner, SetupStatsPopulated) {
   const RunningExample ex = MakeRunningExample();
@@ -125,6 +151,71 @@ TEST(DataOwner, BaselineSkipsExpansion) {
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(stats.candidates, 1u);  // No automorphic expansion.
   EXPECT_EQ(results->NumMatches(), 1u);
+}
+
+TEST(DataOwner, ProcessResponseRejectsIdsOutsideGk) {
+  // The cloud is untrusted: an id that is no Gk vertex has no automorphic
+  // image and must be refused, not looked up.
+  const RunningExample ex = MakeRunningExample();
+  const MatchSet truth = FindSubgraphMatches(ex.query, ex.graph);
+  ASSERT_GT(truth.NumMatches(), 0u);
+  for (const bool baseline : {false, true}) {
+    DataOwnerOptions options;
+    options.k = 2;
+    options.baseline_upload = baseline;
+    auto owner = DataOwner::Create(ex.graph, ex.schema, options);
+    ASSERT_TRUE(owner.ok());
+    const auto gk_vertices =
+        static_cast<VertexId>(owner->kag().gk.NumVertices());
+    for (const VertexId bad : {gk_vertices, VertexId{UINT32_MAX - 1}}) {
+      MatchSet response(ex.query.NumVertices());
+      response.Append(truth.Get(0));
+      std::vector<VertexId> row(truth.Get(0).begin(), truth.Get(0).end());
+      row.back() = bad;
+      response.Append(row);
+      auto results = owner->ProcessResponse(ex.query, response.Serialize());
+      ASSERT_FALSE(results.ok()) << "baseline=" << baseline << " id=" << bad;
+      EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(DataOwner, FaultyCloudStillGetsASet) {
+  // A reply that repeats a Rin row and adds the automorphic image of
+  // another (its anchor column outside B1) makes images collide. The
+  // owner still returns exactly the expand-then-filter rows, sorted and
+  // distinct, having examined k images per reply row.
+  const RunningExample ex = MakeRunningExample();
+  DataOwnerOptions options;
+  options.k = 2;
+  auto owner = DataOwner::Create(ex.graph, ex.schema, options);
+  ASSERT_TRUE(owner.ok());
+  auto cloud = CloudCluster::Host(owner->upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cloud.ok());
+  auto request = owner->AnonymizeQueryToRequest(ex.query);
+  ASSERT_TRUE(request.ok());
+  auto answer = cloud->Serve(*request);
+  ASSERT_TRUE(answer.ok());
+  auto rin = MatchSet::Deserialize(answer->response_payload);
+  ASSERT_TRUE(rin.ok());
+  ASSERT_GT(rin->NumMatches(), 0u);
+
+  MatchSet faulty = *rin;
+  faulty.Append(rin->Get(0));
+  faulty.Append(owner->kag().avt.ApplyToMatch(rin->Get(0), 1));
+  ASSERT_LT(ExpandByAutomorphisms(faulty, owner->kag().avt).NumMatches(),
+            owner->k() * faulty.NumMatches());
+
+  DataOwner::ClientStats stats;
+  auto results =
+      owner->ProcessResponse(ex.query, faulty.Serialize(), &stats);
+  ASSERT_TRUE(results.ok()) << results.status();
+  const MatchSet reference = ExpandThenFilter(*owner, ex.query, faulty);
+  EXPECT_GT(reference.NumMatches(), 0u);
+  EXPECT_EQ(*results, reference);
+  EXPECT_EQ(stats.candidates, owner->k() * faulty.NumMatches());
+  EXPECT_EQ(stats.results, reference.NumMatches());
+  EXPECT_EQ(stats.expand_ms, 0.0);
 }
 
 TEST(DataOwner, EndToEndAgainstCloudServer) {

@@ -13,6 +13,7 @@
 #include "graph/serialize.h"
 #include "kauto/avt.h"
 #include "match/match_set.h"
+#include "query/query_api.h"
 #include "util/random.h"
 
 namespace ppsm {
@@ -154,6 +155,80 @@ TEST(FuzzRobustness, CloudSurvivesMalformedQueries) {
                 },
                 1008);
   }
+}
+
+TEST(FuzzRobustness, OwnerSurvivesMalformedResponses) {
+  // The owner decodes the cloud's Rin and maps every id through the AVT;
+  // a mutated id outside Gk must come back as an error, for both uploads.
+  const RunningExample ex = MakeRunningExample();
+  for (const bool baseline : {false, true}) {
+    DataOwnerOptions options;
+    options.k = 2;
+    options.baseline_upload = baseline;
+    auto owner = DataOwner::Create(ex.graph, ex.schema, options);
+    ASSERT_TRUE(owner.ok());
+    auto cloud = CloudCluster::Host(owner->upload_bytes(), ClusterConfig{});
+    ASSERT_TRUE(cloud.ok()) << cloud.status();
+    auto request = owner->AnonymizeQueryToRequest(ex.query);
+    ASSERT_TRUE(request.ok());
+    auto answer = cloud->Serve(*request);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    ASSERT_GT(answer->stats.result_rows, 0u);
+    FuzzDecoder(answer->response_payload,
+                [&](std::span<const uint8_t> bytes) {
+                  return owner->ProcessResponse(ex.query, bytes).ok();
+                },
+                baseline ? 1021 : 1020);
+  }
+}
+
+TEST(FuzzRobustness, QueryRequestDeserializer) {
+  // The server decodes every client request; an empty tag is the last
+  // field, so the reader also ends the buffer on a string.
+  const RunningExample ex = MakeRunningExample();
+  for (const std::string tag : {"", "replay-7"}) {
+    QueryRequest request;
+    request.pattern = ex.query;
+    request.deadline_ms = 250;
+    request.tag = tag;
+    FuzzDecoder(SerializeQueryRequest(request),
+                [&ex](std::span<const uint8_t> bytes) {
+                  return DeserializeQueryRequest(bytes, ex.schema).ok();
+                },
+                tag.empty() ? 1022 : 1023);
+  }
+}
+
+TEST(FuzzRobustness, QueryResponseDeserializer) {
+  // The client decodes every reply: matches plus the stats block.
+  const RunningExample ex = MakeRunningExample();
+  DataOwnerOptions options;
+  options.k = 2;
+  auto owner = DataOwner::Create(ex.graph, ex.schema, options);
+  ASSERT_TRUE(owner.ok());
+  auto cloud = CloudCluster::Host(owner->upload_bytes(), ClusterConfig{});
+  ASSERT_TRUE(cloud.ok()) << cloud.status();
+  auto request = owner->AnonymizeQueryToRequest(ex.query);
+  ASSERT_TRUE(request.ok());
+  auto answer = cloud->Serve(*request);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  DataOwner::ClientStats client;
+  auto matches =
+      owner->ProcessResponse(ex.query, answer->response_payload, &client);
+  ASSERT_TRUE(matches.ok()) << matches.status();
+  QueryResponse response;
+  response.matches = std::move(matches).value();
+  response.cloud = answer->stats;
+  response.client_ms = client.total_ms;
+  response.client_candidates = client.candidates;
+  response.request_bytes = request->size();
+  response.response_bytes = answer->response_payload.size();
+  response.tag = "replay-7";
+  FuzzDecoder(SerializeQueryResponse(response),
+              [](std::span<const uint8_t> bytes) {
+                return DeserializeQueryResponse(bytes).ok();
+              },
+              1024);
 }
 
 TEST(FuzzRobustness, StarRowsDeserializer) {

@@ -74,7 +74,7 @@ TEST_P(ObservabilityE2eShards, SetupAndQueryEmitExpectedSpanTree) {
         "setup.upload_build", "setup.cloud_host", "cloud.index_build", "query",
         "query.anonymize", "cloud.answer_query", "cloud.decompose",
         "cloud.star_match", "cloud.unit_match.unit", "cloud.join",
-        "client.process_response", "client.expand", "client.filter"}) {
+        "client.process_response"}) {
     EXPECT_NE(FindSpan(events, name), nullptr) << "missing span " << name;
   }
   // Only a sharded deployment ships rows shard -> coordinator.

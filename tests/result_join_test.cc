@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "anonymize/grouping.h"
+#include "cloud_oracle.h"
 #include "graph/generators.h"
 #include "graph/query_extractor.h"
 #include "kauto/outsourced_graph.h"
