@@ -148,19 +148,19 @@ Result<WireAnswer> QueryService::Execute(
     metrics.rejected.Increment();
     // Refusals never reach the server, so file their profile here: the
     // queue wait is the whole story of the query.
-    QueryProfile refusal;
-    refusal.query_id = query_id;
-    refusal.status = StatusCodeLabel(admitted.code());
-    refusal.queue_wait_ms = wait_timer.ElapsedMillis();
-    refusal.total_ms = refusal.queue_wait_ms;
-    refusal.request_bytes = qo_bytes.size();
+    CloudQueryStats stats;
+    stats.query_id = query_id;
+    stats.queue_wait_ms = wait_timer.ElapsedMillis();
     if (admitted.code() == StatusCode::kDeadlineExceeded) {
-      refusal.timed_out_phase = "queue";
+      stats.timed_out_phase = "queue";
     }
+    QueryProfile refusal = ToQueryProfile(stats);
+    refusal.status = StatusCodeLabel(admitted.code());
+    refusal.total_ms = stats.queue_wait_ms;
+    refusal.request_bytes = qo_bytes.size();
     // Even a refusal costs reply bytes on the wire; account the encoded
     // error response instead of reporting 0.
-    refusal.response_bytes =
-        EncodedErrorResponseBytes(admitted, FromQueryProfile(refusal));
+    refusal.response_bytes = EncodedErrorResponseBytes(admitted, stats);
     FlightRecorder::Global().Record(std::move(refusal));
     return admitted;
   }

@@ -99,8 +99,12 @@ Result<MatchSet> MatchSet::Deserialize(std::span<const uint8_t> bytes) {
   }
   PPSM_ASSIGN_OR_RETURN(const uint64_t arity, reader.GetVarint());
   PPSM_ASSIGN_OR_RETURN(const uint64_t rows, reader.GetVarint());
-  if (arity * rows > reader.remaining()) {
-    // Every id costs at least one byte; reject absurd headers early.
+  if (arity == 0 && rows != 0) {
+    return Status::InvalidArgument("match-set rows without columns");
+  }
+  // Every id costs at least one byte; reject absurd headers before
+  // allocating. Divides instead of multiplying, so no count can wrap.
+  if (arity != 0 && rows > reader.remaining() / arity) {
     return Status::OutOfRange("match-set count exceeds payload size");
   }
   MatchSet set(arity);
@@ -109,6 +113,9 @@ Result<MatchSet> MatchSet::Deserialize(std::span<const uint8_t> bytes) {
     PPSM_ASSIGN_OR_RETURN(const uint64_t v, reader.GetVarint());
     if (v > UINT32_MAX) return Status::InvalidArgument("vertex id overflow");
     set.flat_.push_back(static_cast<VertexId>(v));
+  }
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after match set");
   }
   return set;
 }

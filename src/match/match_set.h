@@ -54,6 +54,9 @@ class MatchSet {
   size_t MemoryBytes() const { return flat_.capacity() * sizeof(VertexId); }
 
   std::vector<uint8_t> Serialize() const;
+  /// Decodes one Serialize() payload, which must fill `bytes` exactly. A
+  /// row count the bytes cannot hold, rows without columns and trailing
+  /// bytes are refused.
   static Result<MatchSet> Deserialize(std::span<const uint8_t> bytes);
 
   /// Multiset equality up to row order (for tests): both sides are copied,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <functional>
 
 #include "obs/json_util.h"
 
@@ -118,266 +116,6 @@ std::string ShardToJson(const ShardProfile& shard) {
   return out;
 }
 
-/// Cursor over one JSON document. The grammar accepted is exactly what the
-/// serializer emits (objects, arrays of objects, strings, numbers, bools,
-/// null) — enough for a lossless round trip without pulling in a JSON
-/// dependency.
-class JsonCursor {
- public:
-  explicit JsonCursor(std::string_view text) : text_(text) {}
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool AtEnd() {
-    SkipWs();
-    return pos_ >= text_.size();
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  char Peek() {
-    SkipWs();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  Result<std::string> ParseString() {
-    SkipWs();
-    if (!Consume('"')) return Status::InvalidArgument("expected '\"'");
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char escaped = text_[pos_++];
-      switch (escaped) {
-        case '"':
-          out.push_back('"');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case '/':
-          out.push_back('/');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Status::InvalidArgument("truncated \\u escape");
-          }
-          const std::string hex(text_.substr(pos_, 4));
-          pos_ += 4;
-          out.push_back(static_cast<char>(
-              std::strtoul(hex.c_str(), nullptr, 16) & 0xff));
-          break;
-        }
-        default:
-          return Status::InvalidArgument("unknown escape in string");
-      }
-    }
-    return Status::InvalidArgument("unterminated string");
-  }
-
-  Result<double> ParseNumber() {
-    SkipWs();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Status::InvalidArgument("expected a number");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Status::InvalidArgument("malformed number '" + token + "'");
-    }
-    return value;
-  }
-
-  Result<bool> ParseBool() {
-    SkipWs();
-    if (text_.substr(pos_).starts_with("true")) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.substr(pos_).starts_with("false")) {
-      pos_ += 5;
-      return false;
-    }
-    return Status::InvalidArgument("expected true/false");
-  }
-
-  /// Skips one value of any supported type (for unknown keys).
-  Status SkipValue() {
-    SkipWs();
-    const char c = Peek();
-    if (c == '"') return ParseString().status();
-    if (c == 't' || c == 'f') return ParseBool().status();
-    if (c == 'n') {
-      if (!text_.substr(pos_).starts_with("null")) {
-        return Status::InvalidArgument("expected null");
-      }
-      pos_ += 4;
-      return Status::OK();
-    }
-    if (c == '{' || c == '[') {
-      const char open = c;
-      const char close = open == '{' ? '}' : ']';
-      Consume(open);
-      if (Consume(close)) return Status::OK();
-      while (true) {
-        if (open == '{') {
-          PPSM_RETURN_IF_ERROR(ParseString().status());  // Key.
-          if (!Consume(':')) return Status::InvalidArgument("expected ':'");
-        }
-        PPSM_RETURN_IF_ERROR(SkipValue());
-        if (Consume(close)) return Status::OK();
-        if (!Consume(',')) return Status::InvalidArgument("expected ','");
-      }
-    }
-    return ParseNumber().status();
-  }
-
-  /// Iterates the members of one object, calling `member(key)` with the
-  /// cursor positioned at the value. The callback must consume the value.
-  Status ParseObject(
-      const std::function<Status(const std::string& key)>& member) {
-    if (!Consume('{')) return Status::InvalidArgument("expected '{'");
-    if (Consume('}')) return Status::OK();
-    while (true) {
-      PPSM_ASSIGN_OR_RETURN(const std::string key, ParseString());
-      if (!Consume(':')) return Status::InvalidArgument("expected ':'");
-      PPSM_RETURN_IF_ERROR(member(key));
-      if (Consume('}')) return Status::OK();
-      if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    }
-  }
-
-  /// Iterates the elements of one array; the callback consumes each value.
-  Status ParseArray(const std::function<Status()>& element) {
-    if (!Consume('[')) return Status::InvalidArgument("expected '['");
-    if (Consume(']')) return Status::OK();
-    while (true) {
-      PPSM_RETURN_IF_ERROR(element());
-      if (Consume(']')) return Status::OK();
-      if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    }
-  }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-Result<uint64_t> ParseU64(JsonCursor* cursor) {
-  PPSM_ASSIGN_OR_RETURN(const double value, cursor->ParseNumber());
-  if (value < 0) return Status::InvalidArgument("expected a non-negative int");
-  return static_cast<uint64_t>(value);
-}
-
-Status ParseStar(JsonCursor* cursor, UnitProfile* star) {
-  return cursor->ParseObject([&](const std::string& key) -> Status {
-    if (key == "center") {
-      PPSM_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(cursor));
-      star->center = static_cast<uint32_t>(v);
-    } else if (key == "kind") {
-      PPSM_ASSIGN_OR_RETURN(star->kind, cursor->ParseString());
-    } else if (key == "candidates") {
-      PPSM_ASSIGN_OR_RETURN(star->candidates, ParseU64(cursor));
-    } else if (key == "rows") {
-      PPSM_ASSIGN_OR_RETURN(star->rows, ParseU64(cursor));
-    } else if (key == "estimated_rows") {
-      PPSM_ASSIGN_OR_RETURN(star->estimated_rows, cursor->ParseNumber());
-    } else if (key == "truncated") {
-      PPSM_ASSIGN_OR_RETURN(star->truncated, cursor->ParseBool());
-    } else if (key == "skipped") {
-      PPSM_ASSIGN_OR_RETURN(star->skipped, cursor->ParseBool());
-    } else {
-      return cursor->SkipValue();
-    }
-    return Status::OK();
-  });
-}
-
-Status ParseJoinStep(JsonCursor* cursor, JoinStepProfile* step) {
-  return cursor->ParseObject([&](const std::string& key) -> Status {
-    if (key == "step") {
-      PPSM_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(cursor));
-      step->step = static_cast<uint32_t>(v);
-    } else if (key == "star_index") {
-      PPSM_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(cursor));
-      step->star_index = static_cast<uint32_t>(v);
-    } else if (key == "star_center") {
-      PPSM_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(cursor));
-      step->star_center = static_cast<uint32_t>(v);
-    } else if (key == "build_rows") {
-      PPSM_ASSIGN_OR_RETURN(step->build_rows, ParseU64(cursor));
-    } else if (key == "output_rows") {
-      PPSM_ASSIGN_OR_RETURN(step->output_rows, ParseU64(cursor));
-    } else if (key == "injectivity_drops") {
-      PPSM_ASSIGN_OR_RETURN(step->injectivity_drops, ParseU64(cursor));
-    } else if (key == "estimated_rows") {
-      PPSM_ASSIGN_OR_RETURN(step->estimated_rows, cursor->ParseNumber());
-    } else if (key == "overflow") {
-      PPSM_ASSIGN_OR_RETURN(step->overflow, cursor->ParseBool());
-    } else if (key == "kind") {
-      PPSM_ASSIGN_OR_RETURN(step->kind, cursor->ParseString());
-    } else {
-      return cursor->SkipValue();
-    }
-    return Status::OK();
-  });
-}
-
-Status ParseShard(JsonCursor* cursor, ShardProfile* shard) {
-  return cursor->ParseObject([&](const std::string& key) -> Status {
-    if (key == "shard") {
-      PPSM_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(cursor));
-      shard->shard = static_cast<uint32_t>(v);
-    } else if (key == "candidates") {
-      PPSM_ASSIGN_OR_RETURN(shard->candidates, ParseU64(cursor));
-    } else if (key == "rows") {
-      PPSM_ASSIGN_OR_RETURN(shard->rows, ParseU64(cursor));
-    } else if (key == "match_ms") {
-      PPSM_ASSIGN_OR_RETURN(shard->match_ms, cursor->ParseNumber());
-    } else if (key == "exchange_ms") {
-      PPSM_ASSIGN_OR_RETURN(shard->exchange_ms, cursor->ParseNumber());
-    } else if (key == "exchanged_bytes") {
-      PPSM_ASSIGN_OR_RETURN(shard->exchanged_bytes, ParseU64(cursor));
-    } else {
-      return cursor->SkipValue();
-    }
-    return Status::OK();
-  });
-}
-
 double Percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
@@ -428,9 +166,8 @@ std::string QueryProfileToJson(const QueryProfile& profile) {
     out.append(JoinStepToJson(profile.join_steps[i]));
   }
   out.push_back(']');
-  // Omitted when empty (the single-server common case) so the JSONL record
-  // doesn't grow for deployments without a cluster; the parser treats a
-  // missing key as an empty list.
+  // Omitted when empty (the one-shard common case) so the JSONL record
+  // doesn't grow for deployments without a sharded cluster.
   if (!profile.shards.empty()) {
     out.append(", \"shards\": [");
     for (size_t i = 0; i < profile.shards.size(); ++i) {
@@ -441,95 +178,6 @@ std::string QueryProfileToJson(const QueryProfile& profile) {
   }
   out.push_back('}');
   return out;
-}
-
-Result<QueryProfile> QueryProfileFromJson(std::string_view json) {
-  JsonCursor cursor(json);
-  QueryProfile profile;
-  PPSM_RETURN_IF_ERROR(
-      cursor.ParseObject([&](const std::string& key) -> Status {
-        if (key == "query_id") {
-          PPSM_ASSIGN_OR_RETURN(profile.query_id, ParseU64(&cursor));
-        } else if (key == "status") {
-          PPSM_ASSIGN_OR_RETURN(profile.status, cursor.ParseString());
-        } else if (key == "timed_out_phase") {
-          PPSM_ASSIGN_OR_RETURN(profile.timed_out_phase,
-                                cursor.ParseString());
-        } else if (key == "queue_wait_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.queue_wait_ms, cursor.ParseNumber());
-        } else if (key == "decomposition_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.decomposition_ms,
-                                cursor.ParseNumber());
-        } else if (key == "star_matching_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.star_matching_ms,
-                                cursor.ParseNumber());
-        } else if (key == "join_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.join_ms, cursor.ParseNumber());
-        } else if (key == "cloud_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.cloud_ms, cursor.ParseNumber());
-        } else if (key == "network_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.network_ms, cursor.ParseNumber());
-        } else if (key == "client_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.client_ms, cursor.ParseNumber());
-        } else if (key == "total_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.total_ms, cursor.ParseNumber());
-        } else if (key == "aux_build_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.aux_build_ms, cursor.ParseNumber());
-        } else if (key == "aux_bytes") {
-          PPSM_ASSIGN_OR_RETURN(profile.aux_bytes, ParseU64(&cursor));
-        } else if (key == "intersect_scalar") {
-          PPSM_ASSIGN_OR_RETURN(profile.intersect_scalar, ParseU64(&cursor));
-        } else if (key == "intersect_galloping") {
-          PPSM_ASSIGN_OR_RETURN(profile.intersect_galloping,
-                                ParseU64(&cursor));
-        } else if (key == "intersect_simd") {
-          PPSM_ASSIGN_OR_RETURN(profile.intersect_simd, ParseU64(&cursor));
-        } else if (key == "plan_cache_hit") {
-          PPSM_ASSIGN_OR_RETURN(profile.plan_cache_hit, cursor.ParseBool());
-        } else if (key == "overflowed") {
-          PPSM_ASSIGN_OR_RETURN(profile.overflowed, cursor.ParseBool());
-        } else if (key == "num_stars") {
-          PPSM_ASSIGN_OR_RETURN(profile.num_stars, ParseU64(&cursor));
-        } else if (key == "rs_size") {
-          PPSM_ASSIGN_OR_RETURN(profile.rs_size, ParseU64(&cursor));
-        } else if (key == "result_rows") {
-          PPSM_ASSIGN_OR_RETURN(profile.result_rows, ParseU64(&cursor));
-        } else if (key == "peak_join_rows") {
-          PPSM_ASSIGN_OR_RETURN(profile.peak_join_rows, ParseU64(&cursor));
-        } else if (key == "request_bytes") {
-          PPSM_ASSIGN_OR_RETURN(profile.request_bytes, ParseU64(&cursor));
-        } else if (key == "response_bytes") {
-          PPSM_ASSIGN_OR_RETURN(profile.response_bytes, ParseU64(&cursor));
-        } else if (key == "stars") {
-          return cursor.ParseArray([&]() -> Status {
-            StarProfile star;
-            PPSM_RETURN_IF_ERROR(ParseStar(&cursor, &star));
-            profile.stars.push_back(star);
-            return Status::OK();
-          });
-        } else if (key == "join_steps") {
-          return cursor.ParseArray([&]() -> Status {
-            JoinStepProfile step;
-            PPSM_RETURN_IF_ERROR(ParseJoinStep(&cursor, &step));
-            profile.join_steps.push_back(step);
-            return Status::OK();
-          });
-        } else if (key == "shards") {
-          return cursor.ParseArray([&]() -> Status {
-            ShardProfile shard;
-            PPSM_RETURN_IF_ERROR(ParseShard(&cursor, &shard));
-            profile.shards.push_back(shard);
-            return Status::OK();
-          });
-        } else {
-          return cursor.SkipValue();
-        }
-        return Status::OK();
-      }));
-  if (!cursor.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after the profile object");
-  }
-  return profile;
 }
 
 CostModelCalibration SummarizeCostModelCalibration(

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -14,9 +13,8 @@ namespace ppsm {
 /// Per-unit record of one query's unit-matching phase: how many candidate
 /// roots the index shortlisted, how many rows materialized, and what the
 /// §5.1 cost model predicted for the unit. The estimate/actual pair is the
-/// raw material of the cost-model calibration report. Historically every
-/// unit was a star (the legacy StarProfile alias below); `kind` tags the
-/// shape ("star", "path", "tree") so calibration can be reported per family.
+/// raw material of the cost-model calibration report. `kind` tags the shape
+/// ("star", "path", "tree") so calibration can be reported per family.
 struct UnitProfile {
   uint32_t center = 0;         // Query vertex id of the unit root.
   uint64_t candidates = 0;     // Candidate roots from the VBV/LBV index.
@@ -26,9 +24,6 @@ struct UnitProfile {
   bool skipped = false;        // Never matched: a sibling truncated first.
   std::string kind = "star";   // Unit shape: "star", "path" or "tree".
 };
-
-/// Legacy name from the star-only pipeline.
-using StarProfile = UnitProfile;
 
 /// Per-step record of the result join: which unit joined in, what the cost
 /// model expected of it, and what actually came out. `output_rows` across
@@ -116,14 +111,9 @@ struct QueryProfile {
 std::string StatusCodeLabel(StatusCode code);
 
 /// One-line JSON object for a profile (no trailing newline) — the JSONL
-/// record format of the slow-query log and `ppsm_cli --query-log`.
+/// record format of the slow-query log and `ppsm_cli --query-log`. The log
+/// is write-only: nothing in the system parses it back.
 std::string QueryProfileToJson(const QueryProfile& profile);
-
-/// Parses a QueryProfileToJson record back. Accepts exactly the schema the
-/// serializer emits (flat keys plus the stars/join_steps object arrays);
-/// unknown keys are ignored so the format can grow. InvalidArgument on
-/// malformed input.
-Result<QueryProfile> QueryProfileFromJson(std::string_view json);
 
 /// Calibration of one unit-kind family ("star", "path", "tree"): the same
 /// ratio percentiles as the aggregate report, restricted to units of that

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "graph/serialize.h"
-#include "obs/query_profile.h"
 
 namespace ppsm {
 
@@ -16,7 +15,11 @@ namespace {
 // layout independently so a same-frame-version peer with a stale payload
 // codec still fails typed instead of mis-decoding).
 constexpr uint8_t kRequestCodecVersion = 2;
-constexpr uint8_t kResponseCodecVersion = 2;
+constexpr uint8_t kResponseCodecVersion = 3;
+
+// Flag bits of the stats block's last byte; any other bit is refused.
+constexpr uint8_t kPlanCacheHitFlag = 1;
+constexpr uint8_t kOverflowedFlag = 2;
 
 void PutDouble(BinaryWriter& writer, double value) {
   writer.PutU64(std::bit_cast<uint64_t>(value));
@@ -25,6 +28,55 @@ void PutDouble(BinaryWriter& writer, double value) {
 Result<double> GetDouble(BinaryReader& reader) {
   PPSM_ASSIGN_OR_RETURN(const uint64_t bits, reader.GetU64());
   return std::bit_cast<double>(bits);
+}
+
+// The reply's stats block: CloudQueryStats' scalar fields in a fixed order.
+// The per-unit, per-step and per-shard arrays stay on the server.
+void PutStatsBlock(BinaryWriter& writer, const CloudQueryStats& stats) {
+  writer.PutVarint(stats.query_id);
+  writer.PutString(stats.timed_out_phase);
+  for (const double ms : {stats.queue_wait_ms, stats.decomposition_ms,
+                          stats.star_matching_ms, stats.join_ms,
+                          stats.total_ms, stats.aux_build_ms}) {
+    PutDouble(writer, ms);
+  }
+  writer.PutVarint(stats.aux_bytes);
+  writer.PutVarint(stats.intersect_scalar);
+  writer.PutVarint(stats.intersect_galloping);
+  writer.PutVarint(stats.intersect_simd);
+  writer.PutVarint(stats.num_stars);
+  writer.PutVarint(stats.rs_size);
+  writer.PutVarint(stats.result_rows);
+  writer.PutVarint(stats.peak_join_rows);
+  writer.PutU8((stats.plan_cache_hit ? kPlanCacheHitFlag : 0) |
+               (stats.overflowed ? kOverflowedFlag : 0));
+}
+
+Result<CloudQueryStats> GetStatsBlock(BinaryReader& reader) {
+  CloudQueryStats stats;
+  PPSM_ASSIGN_OR_RETURN(stats.query_id, reader.GetVarint());
+  PPSM_ASSIGN_OR_RETURN(stats.timed_out_phase, reader.GetString());
+  for (double* ms : {&stats.queue_wait_ms, &stats.decomposition_ms,
+                     &stats.star_matching_ms, &stats.join_ms,
+                     &stats.total_ms, &stats.aux_build_ms}) {
+    PPSM_ASSIGN_OR_RETURN(*ms, GetDouble(reader));
+  }
+  PPSM_ASSIGN_OR_RETURN(stats.aux_bytes, reader.GetVarint());
+  PPSM_ASSIGN_OR_RETURN(stats.intersect_scalar, reader.GetVarint());
+  PPSM_ASSIGN_OR_RETURN(stats.intersect_galloping, reader.GetVarint());
+  PPSM_ASSIGN_OR_RETURN(stats.intersect_simd, reader.GetVarint());
+  PPSM_ASSIGN_OR_RETURN(stats.num_stars, reader.GetVarint());
+  PPSM_ASSIGN_OR_RETURN(stats.rs_size, reader.GetVarint());
+  PPSM_ASSIGN_OR_RETURN(stats.result_rows, reader.GetVarint());
+  PPSM_ASSIGN_OR_RETURN(stats.peak_join_rows, reader.GetVarint());
+  PPSM_ASSIGN_OR_RETURN(const uint8_t flags, reader.GetU8());
+  if ((flags & ~(kPlanCacheHitFlag | kOverflowedFlag)) != 0) {
+    return Status::InvalidArgument("unknown stats flag bits " +
+                                   std::to_string(flags));
+  }
+  stats.plan_cache_hit = (flags & kPlanCacheHitFlag) != 0;
+  stats.overflowed = (flags & kOverflowedFlag) != 0;
+  return stats;
 }
 
 }  // namespace
@@ -53,32 +105,6 @@ QueryProfile ToQueryProfile(const CloudQueryStats& stats) {
   profile.join_steps = stats.join_steps;
   profile.shards = stats.shards;
   return profile;
-}
-
-CloudQueryStats FromQueryProfile(const QueryProfile& profile) {
-  CloudQueryStats stats;
-  stats.query_id = profile.query_id;
-  stats.timed_out_phase = profile.timed_out_phase;
-  stats.queue_wait_ms = profile.queue_wait_ms;
-  stats.decomposition_ms = profile.decomposition_ms;
-  stats.star_matching_ms = profile.star_matching_ms;
-  stats.join_ms = profile.join_ms;
-  stats.total_ms = profile.cloud_ms;
-  stats.aux_build_ms = profile.aux_build_ms;
-  stats.aux_bytes = profile.aux_bytes;
-  stats.intersect_scalar = profile.intersect_scalar;
-  stats.intersect_galloping = profile.intersect_galloping;
-  stats.intersect_simd = profile.intersect_simd;
-  stats.plan_cache_hit = profile.plan_cache_hit;
-  stats.overflowed = profile.overflowed;
-  stats.num_stars = profile.num_stars;
-  stats.rs_size = profile.rs_size;
-  stats.result_rows = profile.result_rows;
-  stats.peak_join_rows = profile.peak_join_rows;
-  stats.stars = profile.stars;
-  stats.join_steps = profile.join_steps;
-  stats.shards = profile.shards;
-  return stats;
 }
 
 std::vector<uint8_t> SerializeQueryRequest(const QueryRequest& request) {
@@ -129,10 +155,7 @@ std::vector<uint8_t> SerializeQueryResponse(const QueryResponse& response) {
   PutDouble(writer, response.total_ms);
   writer.PutVarint(response.request_bytes);
   writer.PutVarint(response.response_bytes);
-  // The stats block rides as a QueryProfile JSON record — the exact schema
-  // the flight recorder files and QueryProfileFromJson round-trips, so the
-  // wire format never forks from the observability format.
-  writer.PutString(QueryProfileToJson(ToQueryProfile(response.cloud)));
+  PutStatsBlock(writer, response.cloud);
   return writer.TakeBytes();
 }
 
@@ -166,10 +189,7 @@ Result<QueryResponse> DeserializeQueryResponse(
   PPSM_ASSIGN_OR_RETURN(response.total_ms, GetDouble(reader));
   PPSM_ASSIGN_OR_RETURN(response.request_bytes, reader.GetVarint());
   PPSM_ASSIGN_OR_RETURN(response.response_bytes, reader.GetVarint());
-  PPSM_ASSIGN_OR_RETURN(const std::string profile_json, reader.GetString());
-  PPSM_ASSIGN_OR_RETURN(const QueryProfile profile,
-                        QueryProfileFromJson(profile_json));
-  response.cloud = FromQueryProfile(profile);
+  PPSM_ASSIGN_OR_RETURN(response.cloud, GetStatsBlock(reader));
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after query response");
   }

@@ -39,6 +39,11 @@ struct QueryRequest {
 /// flight recorder files (DESIGN.md "Query observability"). Filled on
 /// FAILED queries too via QueryContext::stats — a DeadlineExceeded reply
 /// still reports the phases that ran and where the clock expired.
+///
+/// Only the scalar fields cross the wire (the reply's stats block, see
+/// SerializeQueryResponse). The per-unit, per-join-step and per-shard arrays
+/// are read in-process, from Serve or QueryService::Execute, and the server's
+/// flight recorder keeps them; a decoded reply has them empty.
 struct CloudQueryStats {
   /// Stable id minted at admission by QueryService (or by CloudCluster::Serve
   /// itself for direct calls); never 0 on a reply. Joins the reply to span args and the
@@ -77,7 +82,7 @@ struct CloudQueryStats {
   std::string timed_out_phase;
   /// Per-star candidate/row counts with the §5.1 estimates (the cost-model
   /// calibration inputs). Filled once star matching ran.
-  std::vector<StarProfile> stars;
+  std::vector<UnitProfile> stars;
   /// Per-join-step estimated-vs-actual trace (JoinDiagnostics::steps).
   std::vector<JoinStepProfile> join_steps;
   /// Per-shard match/exchange accounting of a sharded CloudCluster; empty
@@ -89,7 +94,9 @@ struct CloudQueryStats {
 /// R(Q,G) (sorted and distinct), the cloud's per-phase stats, the simulated
 /// network/client costs, and the typed status. Failed queries still carry
 /// the stats of the phases that ran (`matches` is then empty) — check ok()
-/// before using results.
+/// before using results. A reply decoded off the wire carries `cloud`'s
+/// scalar fields only; its per-unit, per-step and per-shard arrays stay on
+/// the server.
 struct QueryResponse {
   Status status;  // Default-constructed = OK.
   MatchSet matches;
@@ -110,16 +117,14 @@ struct QueryResponse {
 /// to fill — the cloud cannot know them.
 QueryProfile ToQueryProfile(const CloudQueryStats& stats);
 
-/// Inverse of ToQueryProfile: rebuilds the cloud stats block from a profile
-/// (the wire decode of a served response — src/net).
-CloudQueryStats FromQueryProfile(const QueryProfile& profile);
-
 /// ---------------------------------------------------------------------------
 /// Wire codecs for the request/response pair. These are the payloads the
 /// socket front end (src/net) frames onto real connections: a QueryRequest
 /// travels client -> server as the serialized pattern, deadline and tag, a
-/// QueryResponse travels back as the match rows plus the stats
-/// block. Deterministic for the deterministic fields: two responses with
+/// QueryResponse travels back as the match rows plus a fixed binary stats
+/// block: CloudQueryStats' scalar fields, with times as IEEE-754 bit
+/// patterns, counts as varints and the two flags in one byte (DESIGN.md §16).
+/// Deterministic for the deterministic fields: two responses with
 /// equal matches/status/tag encode their match payloads byte-identically
 /// (timing fields are per-run by nature). LEB128/little-endian through
 /// graph/serialize.h BinaryWriter, like every other client <-> cloud codec.

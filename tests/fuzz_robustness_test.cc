@@ -13,6 +13,7 @@
 #include "graph/serialize.h"
 #include "kauto/avt.h"
 #include "match/match_set.h"
+#include "net/wire.h"
 #include "query/query_api.h"
 #include "util/random.h"
 
@@ -200,7 +201,7 @@ TEST(FuzzRobustness, QueryRequestDeserializer) {
 }
 
 TEST(FuzzRobustness, QueryResponseDeserializer) {
-  // The client decodes every reply: matches plus the stats block.
+  // The client decodes every reply: matches plus the binary stats block.
   const RunningExample ex = MakeRunningExample();
   DataOwnerOptions options;
   options.k = 2;
@@ -229,6 +230,30 @@ TEST(FuzzRobustness, QueryResponseDeserializer) {
                 return DeserializeQueryResponse(bytes).ok();
               },
               1024);
+}
+
+TEST(FuzzRobustness, WireErrorPayloadDecoder) {
+  // The client decodes every kError frame's payload. It has no failure
+  // result of its own: an undecodable payload comes back as Internal, so
+  // any other code counts as a decode. An empty message ends the buffer on
+  // a string.
+  for (const std::string message : {"", "admission queue full (6 waiting)"}) {
+    FuzzDecoder(EncodeErrorPayload(Status::ResourceExhausted(message)),
+                [](std::span<const uint8_t> bytes) {
+                  return DecodeErrorPayload(bytes).code() !=
+                         StatusCode::kInternal;
+                },
+                message.empty() ? 1025 : 1026);
+  }
+}
+
+TEST(FuzzRobustness, WireVersionPayloadDecoder) {
+  // The client decodes the snapshot version of every kReloadOk / kPong.
+  FuzzDecoder(EncodeVersionPayload(0x0123456789abcdefull),
+              [](std::span<const uint8_t> bytes) {
+                return DecodeVersionPayload(bytes).ok();
+              },
+              1027);
 }
 
 TEST(FuzzRobustness, StarRowsDeserializer) {

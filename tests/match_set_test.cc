@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/serialize.h"
+
 namespace ppsm {
 namespace {
 
@@ -88,6 +90,30 @@ TEST(MatchSet, DeserializeRejectsAbsurdCounts) {
   for (int i = 0; i < 5; ++i) crafted.push_back(0xff);
   crafted.push_back(0x0f);
   EXPECT_FALSE(MatchSet::Deserialize(crafted).ok());
+
+  // Headers whose arity * rows wraps to 0 or is 0: arity 2^32 with 2^32
+  // rows, and arity 0 with 2^40 rows. Neither may decode as an empty set.
+  const auto header = [](uint64_t arity, uint64_t rows) {
+    BinaryWriter writer;
+    writer.PutU32(0x3153544d);  // "MTS1"
+    writer.PutVarint(arity);
+    writer.PutVarint(rows);
+    return writer.TakeBytes();
+  };
+  EXPECT_FALSE(MatchSet::Deserialize(header(1ull << 32, 1ull << 32)).ok());
+  EXPECT_FALSE(MatchSet::Deserialize(header(0, 1ull << 40)).ok());
+  // The honest empty headers still decode.
+  EXPECT_TRUE(MatchSet::Deserialize(header(0, 0)).ok());
+  EXPECT_TRUE(MatchSet::Deserialize(header(3, 0)).ok());
+
+  // A valid set followed by trailing bytes: every caller passes an exactly
+  // sized span, so the extra bytes are corruption.
+  MatchSet valid(2);
+  valid.Append(std::vector<VertexId>{1, 2});
+  std::vector<uint8_t> padded = valid.Serialize();
+  padded.push_back(0x00);
+  padded.push_back(0x00);
+  EXPECT_FALSE(MatchSet::Deserialize(padded).ok());
 }
 
 TEST(MatchSet, EquivalentUnorderedIgnoresRowOrder) {

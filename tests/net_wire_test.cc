@@ -177,26 +177,86 @@ TEST(Wire, VersionPayloadRoundTripAndTrailingBytesRejected) {
 
 // The inner payload codec (query/query_api.h) guards its own layout: an
 // error QueryResponse round-trips with status and stats intact, which is
-// what EncodedErrorResponseBytes sizes on every service error path.
+// what EncodedErrorResponseBytes sizes on every service error path. Every
+// scalar of the binary stats block holds a distinct non-default value; the
+// per-unit, per-step and per-shard arrays stay on the server and decode
+// empty.
 TEST(Wire, ErrorQueryResponseRoundTripsAndSizesConsistently) {
   QueryResponse reply;
   reply.status = Status::DeadlineExceeded("query expired in the admission queue");
-  reply.cloud.query_id = 77;
-  reply.cloud.timed_out_phase = "queue";
-  reply.cloud.queue_wait_ms = 3.5;
-  reply.cloud.total_ms = 3.5;
+  CloudQueryStats& stats = reply.cloud;
+  stats.query_id = (1ull << 40) + 77;
+  stats.timed_out_phase = "queue";
+  stats.queue_wait_ms = 1.0 / 3.0;  // Not a short decimal: bits must survive.
+  stats.decomposition_ms = 1.25;
+  stats.star_matching_ms = 2.125;
+  stats.join_ms = 3.0625;
+  stats.total_ms = 7.75;
+  stats.aux_build_ms = 0.375;
+  stats.aux_bytes = 4096;
+  stats.intersect_scalar = 11;
+  stats.intersect_galloping = 12;
+  stats.intersect_simd = 13;
+  stats.num_stars = 3;
+  stats.rs_size = 300;
+  stats.result_rows = 20;
+  stats.peak_join_rows = 5000;
+  stats.plan_cache_hit = true;
+  stats.overflowed = true;
+  stats.stars.resize(3);
+  stats.join_steps.resize(3);
+  stats.shards.resize(2);
 
   const std::vector<uint8_t> bytes = SerializeQueryResponse(reply);
-  EXPECT_EQ(bytes.size(),
-            EncodedErrorResponseBytes(reply.status, reply.cloud));
+  EXPECT_EQ(bytes.size(), EncodedErrorResponseBytes(reply.status, stats));
 
   auto decoded = DeserializeQueryResponse(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(decoded->status.message(), reply.status.message());
-  EXPECT_EQ(decoded->cloud.query_id, 77u);
-  EXPECT_EQ(decoded->cloud.timed_out_phase, "queue");
   EXPECT_TRUE(decoded->matches.empty());
+  const CloudQueryStats& got = decoded->cloud;
+  EXPECT_EQ(got.query_id, stats.query_id);
+  EXPECT_EQ(got.timed_out_phase, "queue");
+  EXPECT_EQ(got.queue_wait_ms, stats.queue_wait_ms);
+  EXPECT_EQ(got.decomposition_ms, stats.decomposition_ms);
+  EXPECT_EQ(got.star_matching_ms, stats.star_matching_ms);
+  EXPECT_EQ(got.join_ms, stats.join_ms);
+  EXPECT_EQ(got.total_ms, stats.total_ms);
+  EXPECT_EQ(got.aux_build_ms, stats.aux_build_ms);
+  EXPECT_EQ(got.aux_bytes, stats.aux_bytes);
+  EXPECT_EQ(got.intersect_scalar, stats.intersect_scalar);
+  EXPECT_EQ(got.intersect_galloping, stats.intersect_galloping);
+  EXPECT_EQ(got.intersect_simd, stats.intersect_simd);
+  EXPECT_EQ(got.num_stars, stats.num_stars);
+  EXPECT_EQ(got.rs_size, stats.rs_size);
+  EXPECT_EQ(got.result_rows, stats.result_rows);
+  EXPECT_EQ(got.peak_join_rows, stats.peak_join_rows);
+  EXPECT_TRUE(got.plan_cache_hit);
+  EXPECT_TRUE(got.overflowed);
+  EXPECT_TRUE(got.stars.empty());
+  EXPECT_TRUE(got.join_steps.empty());
+  EXPECT_TRUE(got.shards.empty());
+}
+
+// The stats block's two flags share its last byte, one bit each; a bit the
+// codec does not know is refused rather than dropped.
+TEST(Wire, StatsFlagsTakeOneBitEachAndRefuseUnknownBits) {
+  for (const bool hit : {false, true}) {
+    QueryResponse reply;
+    reply.cloud.plan_cache_hit = hit;
+    reply.cloud.overflowed = !hit;
+    auto decoded = DeserializeQueryResponse(SerializeQueryResponse(reply));
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->cloud.plan_cache_hit, hit);
+    EXPECT_EQ(decoded->cloud.overflowed, !hit);
+  }
+
+  std::vector<uint8_t> bytes = SerializeQueryResponse(QueryResponse{});
+  bytes.back() |= 0x04;
+  auto refused = DeserializeQueryResponse(bytes);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

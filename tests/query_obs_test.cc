@@ -3,7 +3,8 @@
 // tracer's span args, failed queries (expired deadlines) still produce a
 // flight-recorder capture with the phases that ran, the system facade
 // annotates network/client times onto the recorded profile, the query-log
-// dump is parseable JSONL, and the channel counts its evicted log records.
+// dump is the JSONL writer's output, and the channel counts its evicted log
+// records.
 
 #include <gtest/gtest.h>
 
@@ -95,7 +96,7 @@ TEST(QueryObs, ReplyCarriesQueryIdAndPerPhaseProfiles) {
     // One star profile per decomposed star, actuals filled in.
     ASSERT_EQ(stats.stars.size(), stats.num_stars);
     uint64_t rows_across_stars = 0;
-    for (const StarProfile& star : stats.stars) {
+    for (const UnitProfile& star : stats.stars) {
       EXPECT_GE(star.candidates, star.rows == 0 ? 0u : 1u);
       rows_across_stars += star.rows;
     }
@@ -267,12 +268,18 @@ TEST(QueryObs, DumpQueryLogWritesParseableJsonl) {
   ASSERT_TRUE(PpsmSystem::DumpQueryLog(path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
+  // The dump is the writer's JSONL, one record per line (its golden lines
+  // are pinned in flight_recorder_test).
+  std::stringstream dumped;
+  dumped << in.rdbuf();
+  EXPECT_EQ(dumped.str(), ExportQueryLogJsonl(FlightRecorder::Global()));
   std::string line;
   size_t lines = 0;
-  while (std::getline(in, line)) {
-    auto parsed = QueryProfileFromJson(line);
-    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << line;
-    EXPECT_NE(parsed->query_id, 0u);
+  while (std::getline(dumped, line)) {
+    EXPECT_TRUE(line.starts_with("{\"capture\": \"ring\", \"query_id\": "))
+        << line;
+    EXPECT_FALSE(line.starts_with("{\"capture\": \"ring\", \"query_id\": 0,"))
+        << line;
     ++lines;
   }
   EXPECT_EQ(lines, 3u);  // Ring entries only; nothing was slow or failed.
