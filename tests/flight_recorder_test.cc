@@ -235,9 +235,11 @@ TEST(QueryProfileJson, WritesEveryKeyInOrder) {
             "{\"shard\": 1, \"candidates\": 4, \"rows\": 11, "
             "\"match_ms\": 0.125, \"exchange_ms\": 0.0625, "
             "\"exchanged_bytes\": 96}]}");
+}
 
-  // A default profile: zeros, empty arrays, and no "shards" key without a
-  // sharded cluster.
+// A default profile: zeros, empty arrays, and no "shards" key without a
+// sharded cluster.
+TEST(QueryProfileJson, WritesDefaultProfile) {
   EXPECT_EQ(QueryProfileToJson(QueryProfile{}),
             "{\"query_id\": 0, \"status\": \"ok\", "
             "\"timed_out_phase\": \"\", \"queue_wait_ms\": 0, "
